@@ -1,15 +1,6 @@
 """Equity-driven water delivery: simulator, admissible policies, learners."""
 
-from .admissible import (
-    BehaviourParams,
-    ScoredAction,
-    admissible_from,
-    best_scored,
-    epsilon_admissible,
-    is_violation,
-    local_policy,
-    score_actions,
-)
+from .admissible import ScoredAction, admissible_from, best_scored, is_violation, score_actions
 from .config import (
     EvalSettings,
     ExperimentConfig,
@@ -40,7 +31,7 @@ from .env import (
     consume,
     predict_transition,
 )
-from .equity import WeightedDistribution, equity_score, gini, make_equity_scorer
+from .equity import make_equity_scorer
 from .evaluate import (
     AggregateResult,
     LocalPolicy,
@@ -63,7 +54,6 @@ from .qlearn import (
     lagrange_update,
     levelise,
     load_model,
-    sample_policy,
     save_model,
     train_eadql,
     train_ecadql,

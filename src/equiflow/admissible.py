@@ -7,46 +7,17 @@ the greedy baseline policy always takes a best-scoring action.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import NamedTuple, Sequence
 
 from .env import Action, EnvConfig, WorldState, available_actions, predict_transition
 
-__all__ = [
-    "ScoredAction",
-    "BehaviourParams",
-    "score_actions",
-    "admissible_from",
-    "epsilon_admissible",
-    "local_policy",
-    "best_scored",
-    "is_violation",
-]
+__all__ = ["ScoredAction", "score_actions", "admissible_from", "best_scored", "is_violation"]
 
 
 class ScoredAction(NamedTuple):
     action: Action
     successor_alignment: float  # equity of the state the action produces
-
-
-@dataclass(frozen=True)
-class BehaviourParams:
-    """Admissibility slack and the equity floor a run is judged against."""
-
-    epsilon: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must be in (0, 1)")
-
-    def admits(self, scored: Sequence[ScoredAction]) -> list[ScoredAction]:
-        return admissible_from(scored, self.epsilon)
-
-    def violated_by(self, next_alignment: float) -> bool:
-        return is_violation(next_alignment, self.tau)
 
 
 def score_actions(state: WorldState, config: EnvConfig) -> list[ScoredAction]:
@@ -59,17 +30,15 @@ def score_actions(state: WorldState, config: EnvConfig) -> list[ScoredAction]:
 
 
 def admissible_from(scored: Sequence[ScoredAction], epsilon: float) -> list[ScoredAction]:
-    """Entries within ``epsilon`` of the best score, original order preserved."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    """Entries within ``epsilon`` of the best score, original order preserved.
+
+    Never empty for a non-empty ``scored``: a best entry always survives.
+    """
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     best = max(sa.successor_alignment for sa in scored)
     cut = best - epsilon
     return [sa for sa in scored if sa.successor_alignment >= cut]
-
-
-def epsilon_admissible(state: WorldState, config: EnvConfig, epsilon: float) -> list[Action]:
-    """The epsilon-admissible action set; never empty when actions exist."""
-    return [sa.action for sa in admissible_from(score_actions(state, config), epsilon)]
 
 
 def best_scored(scored: Sequence[ScoredAction]) -> ScoredAction:
@@ -79,11 +48,6 @@ def best_scored(scored: Sequence[ScoredAction]) -> ScoredAction:
         if sa.successor_alignment > best.successor_alignment:
             best = sa
     return best
-
-
-def local_policy(state: WorldState, config: EnvConfig) -> Action:
-    """Greedy baseline: the action with maximal one-step equity."""
-    return best_scored(score_actions(state, config)).action
 
 
 def is_violation(next_alignment: float, tau: float) -> bool:

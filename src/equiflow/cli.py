@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, runs_flag: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="experiment config JSON (default: built-in)")
         p.add_argument("--seed", type=int, help="override the config seed")
 

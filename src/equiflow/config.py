@@ -8,6 +8,7 @@ evaluation scenario of (0, 300, 200, 200) that runs until 3,000,000 l.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .env import (
     VillageSpec,
     WorldState,
 )
-from .qlearn import Hyperparams, hyper_from_dict, hyper_to_dict
+from .qlearn import Hyperparams, hyper_from_dict, hyper_to_dict, reporting_malformed
 
 __all__ = [
     "EvalSettings",
@@ -81,8 +82,8 @@ class EvalSettings:
             raise ConfigurationError("eval mode must be 'fixed' or 'random'")
         if self.n_runs < 1:
             raise ConfigurationError("eval n_runs must be >= 1")
-        if self.epsilon_eval < 0.0:
-            raise ConfigurationError("epsilon_eval must be >= 0")
+        if not 0.0 <= self.epsilon_eval < math.inf:
+            raise ConfigurationError("epsilon_eval must be finite and >= 0")
         if self.total_to_distribute <= 0:
             raise ConfigurationError("eval total_to_distribute must be positive")
 
@@ -246,11 +247,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(data)
+    with reporting_malformed(path):
+        return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def dump_config(config: ExperimentConfig) -> str:

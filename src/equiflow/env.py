@@ -16,6 +16,7 @@ The per-step reward is the equity score of the state the action produces.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,10 +83,10 @@ class VillageSpec:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.population <= 0:
+        if not self.population > 0:
             raise ConfigurationError(f"village {self.id}: population must be positive")
-        if self.base_rate < 0 or self.high_rate < 0 or self.threshold < 0:
-            raise ConfigurationError(f"village {self.id}: rates and threshold must be >= 0")
+        if not all(0.0 <= x < math.inf for x in (self.base_rate, self.high_rate, self.threshold)):
+            raise ConfigurationError(f"village {self.id}: rates and threshold must be in [0, inf)")
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ class RandomReset:
     high: float = 600.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.low <= self.high:
-            raise ConfigurationError("random reset needs 0 <= low <= high")
+        if not 0.0 <= self.low <= self.high < math.inf:
+            raise ConfigurationError("random reset needs 0 <= low <= high < inf")
 
 
 @dataclass(frozen=True)
@@ -267,25 +268,19 @@ class EnvConfig:
             raise InvalidStateError(f"position {state.position} is not in the network")
         if len(state.levels) != self.n_villages:
             raise InvalidStateError("level vector length does not match the village count")
-        if any(x < 0.0 for x in state.levels):
-            raise InvalidStateError("water levels must be non-negative")
+        if not all(0.0 <= x < math.inf for x in state.levels):
+            raise InvalidStateError("water levels must be finite and non-negative")
         if not 0 <= state.load <= self.capacity or state.load % self.delivery_quantum != 0:
             raise InvalidStateError(
                 f"load {state.load} must be a quantum multiple within [0, capacity]"
             )
 
 
-def _consume_scalar(level: float, base: float, high: float, threshold: float) -> float:
+def consume(level: float, base: float, high: float, threshold: float) -> float:
+    """Level after one step: ``high`` strictly above ``threshold``, else ``base``; floor 0."""
     rate = high if level > threshold else base
     left = level - rate
     return left if left > 0.0 else 0.0
-
-
-def consume(level: float, village: VillageSpec) -> float:
-    """Level after one step of consumption, clamped at zero."""
-    if level < 0.0:
-        raise ValueError("level must be non-negative")
-    return _consume_scalar(level, village.base_rate, village.high_rate, village.threshold)
 
 
 def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...]:
@@ -316,7 +311,7 @@ def predict_transition(state: WorldState, action: Action, config: EnvConfig) -> 
         if dispense:
             levels[dest] += dispense / config.populations[dest]
     new_levels = tuple(
-        _consume_scalar(lvl, base, high, thr)
+        consume(lvl, base, high, thr)
         for lvl, (base, high, thr) in zip(levels, config._rate_table)
     )
     return WorldState(new_levels, dest, load, state.distributed_total + dispense)

@@ -9,40 +9,20 @@ the two routes to within 1e-12 of each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
-__all__ = ["WeightedDistribution", "gini", "equity_score", "make_equity_scorer"]
+__all__ = ["make_equity_scorer"]
 
 
-@dataclass(frozen=True)
-class WeightedDistribution:
-    """Per-village water levels weighted by village populations."""
+def make_equity_scorer(weights: Sequence[int]) -> Callable[[Sequence[float]], float]:
+    """Equity evaluator (one minus the weighted Gini) for a fixed population vector.
 
-    values: tuple[float, ...]
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if not self.values:
-            raise ValueError("distribution is empty")
-        if len(self.values) != len(self.weights):
-            raise ValueError("values and weights must have equal length")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if any(v < 0.0 for v in self.values):
-            raise ValueError("values must be non-negative")
-
-
-@lru_cache(maxsize=128)
-def _gini_fn(weights: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
-    """Build a Gini evaluator with the pairwise weight products precomputed.
-
-    A single shared evaluator per weight vector keeps every caller (reward
-    computation, action scoring, metric export) bit-identical.
+    The pairwise weight products are precomputed.  The score is 1 for perfect
+    equality and 0 for an all-zero level vector.
     """
+    weights = tuple(int(w) for w in weights)
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
     pairs = tuple(
         (i, j, weights[i] * weights[j])
         for i in range(len(weights))
@@ -50,7 +30,7 @@ def _gini_fn(weights: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
     )
     total_people = sum(weights)
 
-    def evaluate(values: Sequence[float]) -> float:
+    def score(values: Sequence[float]) -> float:
         weighted_total = 0.0
         for w, v in zip(weights, values):
             weighted_total += w * v
@@ -58,31 +38,11 @@ def _gini_fn(weights: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
             # Nobody has any water: maximally inequitable by convention.
             # Treating the drained state as perfectly equal would make it an
             # absorbing one-step optimum that starves every policy.
-            return 1.0
+            return 0.0
         spread = 0.0
         for i, j, ww in pairs:
             diff = values[i] - values[j]
             spread += ww * (diff if diff >= 0.0 else -diff)
-        return spread / (total_people * weighted_total)
-
-    return evaluate
-
-
-def gini(dist: WeightedDistribution) -> float:
-    """Weighted Gini index in [0, 1]; 1 for an all-zero distribution."""
-    return _gini_fn(dist.weights)(dist.values)
-
-
-def equity_score(values: Sequence[float], weights: Sequence[int]) -> float:
-    """One minus the weighted Gini index: 1 is perfect equity."""
-    return 1.0 - gini(WeightedDistribution(tuple(values), tuple(weights)))
-
-
-def make_equity_scorer(weights: Sequence[int]) -> Callable[[Sequence[float]], float]:
-    """Fast equity evaluator bound to a fixed population vector."""
-    fn = _gini_fn(tuple(int(w) for w in weights))
-
-    def score(values: Sequence[float]) -> float:
-        return 1.0 - fn(values)
+        return 1.0 - spread / (total_people * weighted_total)
 
     return score

@@ -10,20 +10,15 @@ value -- scores and violation ratios are never computed on padded series.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .admissible import (
-    BehaviourParams,
-    ScoredAction,
-    admissible_from,
-    best_scored,
-    score_actions,
-)
+from .admissible import ScoredAction, admissible_from, best_scored, is_violation, score_actions
 from .env import Action, EnvConfig, Episode, RandomReset, WorldState
-from .qlearn import QModel, _argmax_q, levelise
+from .qlearn import QModel, _argmax_q
 
 __all__ = [
     "Trajectory",
@@ -66,11 +61,11 @@ class RunMetrics:
 
 
 class Policy(Protocol):
+    """Picks one action of the (non-empty) epsilon-admissible set of ``state``."""
+
     name: str
 
-    def choose(
-        self, state: WorldState, scored: Sequence[ScoredAction], epsilon: float
-    ) -> Action: ...
+    def choose(self, state: WorldState, admissible: Sequence[ScoredAction]) -> Action: ...
 
 
 class LocalPolicy:
@@ -78,10 +73,8 @@ class LocalPolicy:
 
     name = "local"
 
-    def choose(
-        self, state: WorldState, scored: Sequence[ScoredAction], epsilon: float
-    ) -> Action:
-        return best_scored(scored).action
+    def choose(self, state: WorldState, admissible: Sequence[ScoredAction]) -> Action:
+        return best_scored(admissible).action
 
 
 class ModelPolicy:
@@ -91,12 +84,8 @@ class ModelPolicy:
         self.model = model
         self.name = name if name is not None else model.kind
 
-    def choose(
-        self, state: WorldState, scored: Sequence[ScoredAction], epsilon: float
-    ) -> Action:
-        adm = admissible_from(scored, epsilon)
-        key = levelise(state, self.model.hyper.levels)
-        return _argmax_q(self.model, key, [sa.action for sa in adm])
+    def choose(self, state: WorldState, admissible: Sequence[ScoredAction]) -> Action:
+        return _argmax_q(self.model, self.model.state_key(state), [sa.action for sa in admissible])
 
 
 def run_episode(
@@ -108,25 +97,24 @@ def run_episode(
     max_steps: int = 100_000,
 ) -> tuple[Trajectory, RunMetrics]:
     """Roll the policy greedily from ``initial`` until the budget is delivered."""
-    behaviour = BehaviourParams(epsilon_eval, tau)
+    if not 0.0 <= epsilon_eval < math.inf:
+        raise ValueError("epsilon_eval must be finite and >= 0")
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must be in (0, 1)")
     episode = Episode(config)
     state = episode.reset_to(initial)
     traj = Trajectory(initial=initial, actions=[], rewards=[], violations=[], states=[])
     while not episode.done:
         if traj.length >= max_steps:
             raise RuntimeError(f"episode exceeded {max_steps} steps without finishing")
-        scored = score_actions(state, config)
-        action = policy.choose(state, scored, epsilon_eval)
-        chosen = next(sa for sa in scored if sa.action == action)
-        best = best_scored(scored).successor_alignment
-        if chosen.successor_alignment < best - epsilon_eval:
-            raise AssertionError(
-                f"policy {policy.name} chose an inadmissible action {action}"
-            )
+        admissible = admissible_from(score_actions(state, config), epsilon_eval)
+        action = policy.choose(state, admissible)
+        if not any(sa.action == action for sa in admissible):
+            raise AssertionError(f"policy {policy.name} chose an inadmissible action {action}")
         outcome = episode.step(action)
         traj.actions.append(action)
         traj.rewards.append(outcome.reward)
-        traj.violations.append(behaviour.violated_by(outcome.reward))
+        traj.violations.append(is_violation(outcome.reward, tau))
         traj.states.append(outcome.next_state)
         state = outcome.next_state
     return traj, compute_metrics(traj)

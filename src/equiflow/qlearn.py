@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
-from .admissible import admissible_from, score_actions
-from .env import Action, EnvConfig, Episode, WorldState
+from .admissible import admissible_from, is_violation, score_actions
+from .env import Action, ConfigurationError, EnvConfig, Episode, WorldState
 
 __all__ = [
     "LevelParams",
@@ -32,7 +33,6 @@ __all__ = [
     "QModel",
     "LagrangeState",
     "lagrange_update",
-    "sample_policy",
     "double_q_update",
     "EpisodeStats",
     "train_eadql",
@@ -59,12 +59,12 @@ class LevelParams:
     green_override: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.min_requirement < self.desired:
-            raise ValueError("need 0 < min_requirement < desired")
+        if not 0.0 < self.min_requirement < self.desired < math.inf:
+            raise ValueError("need 0 < min_requirement < desired < inf")
         if self.hidden < 1:
             raise ValueError("need at least one hidden band")
-        if self.red_bound >= self.green_bound:
-            raise ValueError("red bound must lie below the green bound")
+        if not -math.inf < self.red_bound < self.green_bound < math.inf:
+            raise ValueError("level bounds must be finite with red below green")
 
     @property
     def red_bound(self) -> float:
@@ -132,8 +132,8 @@ class Hyperparams:
             rate = getattr(self, name)
             if not 0.0 < rate < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         if not 0.0 <= self.tau < 1.0:
             # tau = 0 disables the constraint (no state scores below zero).
             raise ValueError("tau must be in [0, 1)")
@@ -152,25 +152,30 @@ class LagrangeState:
     violation_estimate: float = 0.0  # expected per-step violation ratio
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
 
 
-def lagrange_update(lag: LagrangeState, violations: int, alpha_lambda: float) -> LagrangeState:
+def lagrange_update(
+    lag: LagrangeState, violations: int, alpha_lambda: float
+) -> tuple[LagrangeState, bool]:
     """Grow the penalty weight with the episode's violation count, projected.
 
     The projection caps ``lam`` at reward_estimate / violation_estimate so a
     violation-free episode always keeps a higher shaped return than any
     violating one; no cap applies while the violation estimate is zero.
+    Returns the new state and whether the projection cut the step short.
     """
     if violations < 0:
         raise ValueError("violations must be >= 0")
     lam = lag.lam + alpha_lambda * violations
+    clamped = False
     if lag.violation_estimate > 0.0:
         bound = lag.reward_estimate / lag.violation_estimate
         if lam > bound:
             lam = bound
-    return replace(lag, lam=lam)
+            clamped = True
+    return replace(lag, lam=lam), clamped
 
 
 class QModel:
@@ -187,10 +192,6 @@ class QModel:
     def state_key(self, state: WorldState) -> LevelisedState:
         return levelise(state, self.hyper.levels)
 
-    def q_sum(self, key: Hashable, action: Action) -> float:
-        k = (key, action)
-        return self.qa.get(k, 0.0) + self.qb.get(k, 0.0)
-
 
 def _argmax_q(model: QModel, key: Hashable, actions: Sequence[Action]) -> Action:
     """First action maximizing qa+qb, in the given deterministic order."""
@@ -203,15 +204,6 @@ def _argmax_q(model: QModel, key: Hashable, actions: Sequence[Action]) -> Action
             best_value = v
             best_action = a
     return best_action
-
-
-def sample_policy(
-    model: QModel, state: WorldState, config: EnvConfig, epsilon: float | None = None
-) -> Action:
-    """Greedy choice of the model restricted to the admissible set."""
-    eps = model.hyper.epsilon if epsilon is None else epsilon
-    adm = admissible_from(score_actions(state, config), eps)
-    return _argmax_q(model, model.state_key(state), [sa.action for sa in adm])
 
 
 def double_q_update(
@@ -332,7 +324,7 @@ def _train(
             outcome = episode.step(action)
             reward = outcome.reward
             raw_sum += reward
-            if constrained and reward < tau:
+            if constrained and is_violation(reward, tau):
                 violations += 1
                 reward = reward - lag.lam
             next_state = outcome.next_state
@@ -350,9 +342,7 @@ def _train(
             v_hat = hyper.beta_v * (violations / steps) + (1.0 - hyper.beta_v) * lag.violation_estimate
             r_hat = hyper.beta_r * (raw_sum / steps) + (1.0 - hyper.beta_r) * lag.reward_estimate
             lag = LagrangeState(lag.lam, r_hat, v_hat)
-            unclamped = lag.lam + hyper.alpha_lambda * violations
-            lag = lagrange_update(lag, violations, hyper.alpha_lambda)
-            clamped = lag.lam < unclamped
+            lag, clamped = lagrange_update(lag, violations, hyper.alpha_lambda)
         if on_episode is not None:
             on_episode(
                 EpisodeStats(
@@ -492,19 +482,33 @@ def save_model(model: QModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def reporting_malformed(path: str | Path) -> Iterator[None]:
+    """Report invalid JSON, a missing key or a mistyped entry of ``path`` as ConfigurationError."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: malformed entry ({exc})") from exc
+
+
 def load_model(path: str | Path) -> QModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
-        raise ValueError(f"{path}: not a recognised model file")
-    model = QModel(hyper_from_dict(doc["hyper"]), kind=doc["kind"])
-    model.avg_reward = float(doc["avg_reward"])
-    if doc.get("lagrange") is not None:
-        lag = doc["lagrange"]
-        model.lagrange = LagrangeState(
-            lam=float(lag["lam"]),
-            reward_estimate=float(lag["reward_estimate"]),
-            violation_estimate=float(lag["violation_estimate"]),
-        )
-    model.qa = _rows_to_table(doc["qa"])
-    model.qb = _rows_to_table(doc["qb"])
+    with reporting_malformed(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
+            raise ValueError(f"{path}: not a recognised model file")
+        model = QModel(hyper_from_dict(doc["hyper"]), kind=doc["kind"])
+        model.avg_reward = float(doc["avg_reward"])
+        if doc.get("lagrange") is not None:
+            lag = doc["lagrange"]
+            model.lagrange = LagrangeState(
+                lam=float(lag["lam"]),
+                reward_estimate=float(lag["reward_estimate"]),
+                violation_estimate=float(lag["violation_estimate"]),
+            )
+        model.qa = _rows_to_table(doc["qa"])
+        model.qb = _rows_to_table(doc["qb"])
     return model

@@ -17,9 +17,9 @@ from equiflow import (
     LocalPolicy,
     ModelPolicy,
     WorldState,
+    admissible_from,
     available_actions,
-    epsilon_admissible,
-    gini,
+    make_equity_scorer,
     normalize_series,
     predict_transition,
     run_episode,
@@ -28,8 +28,7 @@ from equiflow import (
     train_ecadql,
 )
 from equiflow.config import default_config, evaluation_env, evaluation_initial
-from equiflow.equity import WeightedDistribution
-from equiflow.qlearn import Hyperparams, QModel, double_q_update, load_model, save_model
+from equiflow.qlearn import Hyperparams, QModel, _argmax_q, double_q_update, load_model, save_model
 
 from helpers import expanded_gini_rank, optimal_average_reward, random_legal_action
 
@@ -102,7 +101,7 @@ def test_criterion_1_gini_oracle_equivalence():
         instances.append((values, weights))
     start = time.time()
     worst = max(
-        abs(gini(WeightedDistribution(v, w)) - expanded_gini_rank(v, w))
+        abs(1.0 - make_equity_scorer(w)(v) - expanded_gini_rank(v, w))
         for v, w in instances
     )
     elapsed = time.time() - start
@@ -198,7 +197,7 @@ def test_criterion_4_differential_double_q_convergence():
         if rng.random() < 0.3:
             action = actions[rng.randrange(len(actions))]
         else:
-            action = max(actions, key=lambda a: model.q_sum(state, a))
+            action = _argmax_q(model, state, actions)
         nxt, reward = transitions[state][action]
         double_q_update(model, state, action, nxt, list(transitions[nxt]), reward, rng)
         state = nxt
@@ -297,9 +296,8 @@ def test_criterion_9_epsilon_one_equals_unconstrained(cfg):
     for _ in range(500):
         if episode.done:
             state = episode.reset()
-        assert epsilon_admissible(state, cfg.env, 1.0) == list(
-            available_actions(state, cfg.env)
-        )
+        admitted = admissible_from(score_actions(state, cfg.env), 1.0)
+        assert [sa.action for sa in admitted] == list(available_actions(state, cfg.env))
         state = episode.step(random_legal_action(state, cfg.env, rng)).next_state
     report(9, f"A_eps == A(s) on all {steps} training steps at eps=1")
 

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from equiflow import (
     Action,
+    LocalPolicy,
     ScoredAction,
     WorldState,
     admissible_from,
     available_actions,
     best_scored,
-    epsilon_admissible,
     is_violation,
-    local_policy,
     predict_transition,
+    run_episode,
     score_actions,
 )
 from equiflow.config import evaluation_initial
@@ -58,39 +58,45 @@ def test_epsilon_zero_is_exact_argmax_set(env_cfg):
     scored = score_actions(EVAL_START, env_cfg)
     best = max(sa.successor_alignment for sa in scored)
     argmax = [sa.action for sa in scored if sa.successor_alignment == best]
-    assert epsilon_admissible(EVAL_START, env_cfg, 0.0) == argmax
+    assert [sa.action for sa in admissible_from(scored, 0.0)] == argmax
 
 
 def test_epsilon_one_admits_everything(env_cfg):
     for s in random_walk_states(env_cfg, seed=2, count=60):
-        assert epsilon_admissible(s, env_cfg, 1.0) == list(available_actions(s, env_cfg))
+        admitted = admissible_from(score_actions(s, env_cfg), 1.0)
+        assert [sa.action for sa in admitted] == list(available_actions(s, env_cfg))
 
 
 def test_epsilon_monotonicity(env_cfg):
     states = random_walk_states(env_cfg, seed=8, count=40)
     for s in states:
+        scored = score_actions(s, env_cfg)
         for lo, hi in [(0.0, 0.05), (0.05, 0.1), (0.1, 1.0)]:
-            small = set(epsilon_admissible(s, env_cfg, lo))
-            large = set(epsilon_admissible(s, env_cfg, hi))
-            assert small <= large
-        assert epsilon_admissible(s, env_cfg, 0.0)  # never empty
+            assert set(admissible_from(scored, lo)) <= set(admissible_from(scored, hi))
+        assert admissible_from(scored, 0.0)  # never empty
 
 
 def test_local_action_is_in_every_admissible_set(env_cfg):
+    # The best entry survives every slack, so the baseline's choice from the
+    # admissible set is the same as from the full scored list.
     for s in random_walk_states(env_cfg, seed=13, count=40):
-        chosen = local_policy(s, env_cfg)
+        scored = score_actions(s, env_cfg)
+        best = best_scored(scored)
         for eps in (0.0, 0.01, 0.1, 1.0):
-            assert chosen in epsilon_admissible(s, env_cfg, eps)
+            admitted = admissible_from(scored, eps)
+            assert best in admitted
+            assert LocalPolicy().choose(s, admitted) == best.action
 
 
 def test_negative_epsilon_rejected(env_cfg):
     with pytest.raises(ValueError):
-        epsilon_admissible(EVAL_START, env_cfg, -0.1)
+        admissible_from(score_actions(EVAL_START, env_cfg), -0.1)
 
 
 def test_local_policy_singleton(env_cfg):
     s = WorldState((0.0, 300.0, 200.0, 200.0), 2, 0, 0)
-    assert local_policy(s, env_cfg) == Action(-1, 0)
+    admitted = admissible_from(score_actions(s, env_cfg), 0.0)
+    assert LocalPolicy().choose(s, admitted) == Action(-1, 0)
 
 
 @given(shift=st.floats(-0.4, 0.4), scale=st.floats(0.5, 3.0))
@@ -126,7 +132,6 @@ def test_local_policy_never_supplies_village_zero(experiment_cfg):
     pass-through visits do occur: position ties are broken by ascending
     village id.)
     """
-    from equiflow import LocalPolicy, run_episode
     from equiflow.config import evaluation_env
 
     env = replace(evaluation_env(experiment_cfg), total_to_distribute=900_000)
@@ -148,26 +153,25 @@ def test_violation_boundary(alignment, tau, expected):
     assert is_violation(alignment, tau) is expected
 
 
-def test_behaviour_params_bundle():
-    from equiflow import BehaviourParams
-
-    params = BehaviourParams(epsilon=0.1, tau=0.7)
+def test_behaviour_params_bundle(env_cfg):
+    # A run's slack and equity floor: admissible_from keeps the entries within
+    # epsilon, is_violation judges against tau, and run_episode checks both.
     scored = [
         ScoredAction(Action(0, 0), 0.80),
         ScoredAction(Action(1, 0), 0.75),
         ScoredAction(Action(1, 15000), 0.69),
     ]
-    assert [sa.successor_alignment for sa in params.admits(scored)] == [0.80, 0.75]
-    assert params.violated_by(0.69) and not params.violated_by(0.70)
+    assert [sa.successor_alignment for sa in admissible_from(scored, 0.1)] == [0.80, 0.75]
+    assert is_violation(0.69, 0.7) and not is_violation(0.70, 0.7)
     with pytest.raises(ValueError):
-        BehaviourParams(-0.1, 0.7)
+        run_episode(LocalPolicy(), env_cfg, EVAL_START, -0.1, 0.7)
     with pytest.raises(ValueError):
-        BehaviourParams(0.1, 0.0)
+        run_episode(LocalPolicy(), env_cfg, EVAL_START, 0.1, 0.0)
 
 
 def test_violation_count_matches_replayed_trajectory(env_cfg):
     # Replaying a logged run must reproduce the same violation total.
-    from equiflow import Episode, LocalPolicy, run_episode
+    from equiflow import Episode
 
     cfg = replace(env_cfg, total_to_distribute=240_000)
     tau = 0.9

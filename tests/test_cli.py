@@ -60,6 +60,42 @@ def test_malformed_config_is_a_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def drop_alpha(data):
+    del data["hyper"]["alpha"]
+
+
+def null_villages(data):
+    data["env"]["villages"] = None
+
+
+@pytest.mark.parametrize("mutate,named", [(drop_alpha, "'alpha'"), (null_villages, "")])
+def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
+    tmp_path, quick_config_path, capsys, mutate, named
+):
+    data = json.loads(quick_config_path.read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and named in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_model_without_q_table_is_a_clean_error(tmp_path, quick_config_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(quick_config_path), "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    del doc["qa"]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(quick_config_path), "--model", str(model_path),
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path}: ") and "'qa'" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -111,12 +111,9 @@ def test_stranded_truck_is_a_configuration_error():
     ],
 )
 def test_consume_rates(env_cfg, village_id, level, expected):
-    assert consume(level, env_cfg.villages[village_id]) == pytest.approx(expected, abs=1e-12)
-
-
-def test_consume_rejects_negative_level(env_cfg):
-    with pytest.raises(ValueError):
-        consume(-1.0, env_cfg.villages[0])
+    v = env_cfg.villages[village_id]
+    left = consume(level, v.base_rate, v.high_rate, v.threshold)
+    assert left == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,9 @@ def test_random_walk_invariants(env_cfg):
             assert before.load - s.load == a.dispense
             pop = cfg.villages[a.destination].population
             lifted = before.levels[a.destination] + (a.dispense / pop if a.dispense else 0.0)
-            assert s.levels[a.destination] == consume(lifted, cfg.villages[a.destination])
+            v = cfg.villages[a.destination]
+            left = consume(lifted, v.base_rate, v.high_rate, v.threshold)
+            assert s.levels[a.destination] == left
         else:
             assert s.load == cfg.capacity
         if a.destination != SOURCE and cfg.network.is_dead_end(a.destination):

@@ -14,6 +14,7 @@ from equiflow import (
     Trajectory,
     WorldState,
     aggregate_runs,
+    available_actions,
     normalize_series,
     run_episode,
     train_eadql,
@@ -87,7 +88,7 @@ def test_replaying_logged_actions_reproduces_rewards(quick_env):
 
 
 def test_model_policy_actions_are_admissible(quick_env):
-    from equiflow import epsilon_admissible
+    from equiflow import admissible_from, score_actions
 
     model = train_eadql(quick_env, Hyperparams(episodes=30), seed=3)
     eps = 0.05
@@ -95,7 +96,8 @@ def test_model_policy_actions_are_admissible(quick_env):
     episode = Episode(quick_env)
     state = episode.reset_to(EVAL_START)
     for action in traj.actions:
-        assert action in epsilon_admissible(state, quick_env, eps)
+        admitted = admissible_from(score_actions(state, quick_env), eps)
+        assert action in [sa.action for sa in admitted]
         state = episode.step(action).next_state
 
 
@@ -103,12 +105,25 @@ def test_run_episode_guards_against_stalls(quick_env):
     class Loiter:
         name = "loiter"
 
-        def choose(self, state, scored, epsilon):
-            free = [sa.action for sa in scored if sa.action.dispense == 0]
-            return free[0] if free else scored[0].action
+        def choose(self, state, admissible):
+            free = [sa.action for sa in admissible if sa.action.dispense == 0]
+            return free[0] if free else admissible[0].action
 
     with pytest.raises(RuntimeError):
         run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7, max_steps=500)
+
+
+def test_run_episode_rejects_inadmissible_choice(quick_env):
+    # A legal action outside the admissible set must stop the rollout.
+    class Rogue:
+        name = "rogue"
+
+        def choose(self, state, admissible):
+            kept = {sa.action for sa in admissible}
+            return next(a for a in available_actions(state, quick_env) if a not in kept)
+
+    with pytest.raises(AssertionError, match="inadmissible"):
+        run_episode(Rogue(), quick_env, EVAL_START, 0.0, 0.7)
 
 
 # ---------------------------------------------------------------------------

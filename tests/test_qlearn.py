@@ -8,19 +8,20 @@ from equiflow import (
     LagrangeState,
     LevelisedState,
     LevelParams,
+    ModelPolicy,
     QModel,
     WorldState,
+    admissible_from,
     double_q_update,
-    epsilon_admissible,
     lagrange_update,
     levelise,
     load_model,
-    sample_policy,
     save_model,
+    score_actions,
     train_eadql,
     train_ecadql,
 )
-from equiflow.qlearn import _encode_action, _encode_state_key
+from equiflow.qlearn import _argmax_q, _encode_action, _encode_state_key
 
 from helpers import optimal_average_reward, random_walk_states
 
@@ -172,7 +173,7 @@ def test_average_reward_converges_on_two_state_mdp():
         if rng.random() < 0.3:
             action = actions[rng.randrange(len(actions))]
         else:
-            action = max(actions, key=lambda a: model.q_sum(state, a))
+            action = _argmax_q(model, state, actions)
         nxt, reward = transitions[state][action]
         double_q_update(model, state, action, nxt, list(transitions[nxt]), reward, rng)
         state = nxt
@@ -192,51 +193,59 @@ def test_oracle_prefers_best_cycle():
 # ---------------------------------------------------------------------------
 # Policy sampling
 
+def admissible_at_start(env_cfg, epsilon):
+    return admissible_from(score_actions(EVAL_START, env_cfg), epsilon)
+
+
 def test_fresh_model_picks_first_admissible(env_cfg):
-    model = QModel(Hyperparams())
-    first = epsilon_admissible(EVAL_START, env_cfg, model.hyper.epsilon)[0]
-    assert sample_policy(model, EVAL_START, env_cfg) == first
+    policy = ModelPolicy(QModel(Hyperparams()))
+    admitted = admissible_at_start(env_cfg, 0.1)
+    assert policy.choose(EVAL_START, admitted) == admitted[0].action
 
 
 def test_constant_q_shift_leaves_choice_unchanged(env_cfg):
     model = QModel(Hyperparams())
+    policy = ModelPolicy(model)
     rng = random.Random(4)
     key = model.state_key(EVAL_START)
-    actions = epsilon_admissible(EVAL_START, env_cfg, 0.1)
-    for a in actions:
-        model.qa[(key, a)] = rng.uniform(-1, 1)
-        model.qb[(key, a)] = rng.uniform(-1, 1)
-    before = sample_policy(model, EVAL_START, env_cfg)
-    for a in actions:
-        model.qa[(key, a)] += 3.7
-    assert sample_policy(model, EVAL_START, env_cfg) == before
+    admitted = admissible_at_start(env_cfg, 0.1)
+    for sa in admitted:
+        model.qa[(key, sa.action)] = rng.uniform(-1, 1)
+        model.qb[(key, sa.action)] = rng.uniform(-1, 1)
+    before = policy.choose(EVAL_START, admitted)
+    for sa in admitted:
+        model.qa[(key, sa.action)] += 3.7
+    assert policy.choose(EVAL_START, admitted) == before
 
 
 def test_epsilon_zero_restricts_to_argmax(env_cfg):
-    model = QModel(Hyperparams())
-    chosen = sample_policy(model, EVAL_START, env_cfg, epsilon=0.0)
-    assert chosen in epsilon_admissible(EVAL_START, env_cfg, 0.0)
+    admitted = admissible_at_start(env_cfg, 0.0)
+    chosen = ModelPolicy(QModel(Hyperparams())).choose(EVAL_START, admitted)
+    assert chosen in [sa.action for sa in admitted]
 
 
 # ---------------------------------------------------------------------------
 # Lagrange machinery
 
 def test_lagrange_update_examples():
-    assert lagrange_update(LagrangeState(0.0, 0.0, 0.0), 0, 0.0003).lam == 0.0
+    assert lagrange_update(LagrangeState(0.0, 0.0, 0.0), 0, 0.0003) == (LagrangeState(), False)
     lag = LagrangeState(0.5, reward_estimate=0.8, violation_estimate=0.05)
-    assert lagrange_update(lag, 100, 0.0003).lam == pytest.approx(0.53, abs=1e-12)
+    nxt, clamped = lagrange_update(lag, 100, 0.0003)
+    assert nxt.lam == pytest.approx(0.53, abs=1e-12) and not clamped
     lag = LagrangeState(15.99, reward_estimate=0.8, violation_estimate=0.05)
-    assert lagrange_update(lag, 200, 0.0003).lam == pytest.approx(16.0, abs=1e-12)
+    nxt, clamped = lagrange_update(lag, 200, 0.0003)
+    assert nxt.lam == pytest.approx(16.0, abs=1e-12) and clamped
 
 
 def test_lagrange_update_skips_clamp_without_violation_stats():
     lag = LagrangeState(5.0, reward_estimate=0.0, violation_estimate=0.0)
-    assert lagrange_update(lag, 1000, 0.01).lam == pytest.approx(15.0)
+    nxt, clamped = lagrange_update(lag, 1000, 0.01)
+    assert nxt.lam == pytest.approx(15.0) and not clamped
 
 
 def test_lagrange_update_leaves_estimates_alone():
     lag = LagrangeState(0.1, reward_estimate=0.9, violation_estimate=0.2)
-    nxt = lagrange_update(lag, 7, 0.001)
+    nxt, _ = lagrange_update(lag, 7, 0.001)
     assert (nxt.reward_estimate, nxt.violation_estimate) == (0.9, 0.2)
     with pytest.raises(ValueError):
         lagrange_update(lag, -1, 0.001)
