@@ -19,7 +19,6 @@ from .env import (
     EnvConfig,
     Episode,
     EpisodeFinishedError,
-    FixedReset,
     IllegalActionError,
     InvalidStateError,
     RandomReset,

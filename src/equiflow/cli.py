@@ -1,8 +1,9 @@
 """Command-line front end: train, evaluate, compare, dump-config.
 
-Experiments are described by one JSON config file; flags only carry paths,
-a seed override and an evaluation-epsilon override.  Set EQUIFLOW_LOG to a
-logging level name (debug, info, ...) to control log verbosity.
+Experiments are described by one JSON config file; flags only carry paths
+and overrides of the seed, the evaluation epsilon and the number of
+random-start runs.  Set EQUIFLOW_LOG to a logging level name (debug, info,
+...) to control log verbosity.
 """
 from __future__ import annotations
 

@@ -16,7 +16,6 @@ from .env import (
     SOURCE,
     ConfigurationError,
     EnvConfig,
-    FixedReset,
     RandomReset,
     RoadNetwork,
     VillageSpec,
@@ -143,29 +142,8 @@ def _village_to_dict(v: VillageSpec) -> dict:
     }
 
 
-def _state_to_dict(state: WorldState) -> dict:
-    return {
-        "levels": list(state.levels),
-        "position": state.position,
-        "load": state.load,
-        "distributed_total": state.distributed_total,
-    }
-
-
-def _state_from_dict(data: dict) -> WorldState:
-    return WorldState(
-        tuple(float(x) for x in data["levels"]),
-        int(data["position"]),
-        int(data["load"]),
-        int(data.get("distributed_total", 0)),
-    )
-
-
 def env_to_dict(env: EnvConfig) -> dict:
-    if isinstance(env.reset_mode, RandomReset):
-        reset = {"mode": "random", "low": env.reset_mode.low, "high": env.reset_mode.high}
-    else:
-        reset = {"mode": "fixed", **_state_to_dict(env.reset_mode.state)}
+    reset = {"mode": "random", "low": env.reset_mode.low, "high": env.reset_mode.high}
     return {
         "villages": [_village_to_dict(v) for v in env.villages],
         "edges": sorted([a, b] for a, b in env.network.edges),
@@ -189,13 +167,9 @@ def env_from_dict(data: dict) -> EnvConfig:
     )
     network = RoadNetwork.from_edges(data["edges"], [v.id for v in villages])
     reset_data = data.get("reset", {"mode": "random", "low": 0.0, "high": 600.0})
-    reset: RandomReset | FixedReset
-    if reset_data["mode"] == "random":
-        reset = RandomReset(float(reset_data.get("low", 0.0)), float(reset_data.get("high", 600.0)))
-    elif reset_data["mode"] == "fixed":
-        reset = FixedReset(_state_from_dict(reset_data))
-    else:
+    if reset_data["mode"] != "random":
         raise ConfigurationError(f"unknown reset mode {reset_data['mode']!r}")
+    reset = RandomReset(float(reset_data.get("low", 0.0)), float(reset_data.get("high", 600.0)))
     return EnvConfig(
         villages=villages,
         network=network,

@@ -36,7 +36,6 @@ __all__ = [
     "VillageSpec",
     "RoadNetwork",
     "RandomReset",
-    "FixedReset",
     "EnvConfig",
     "WorldState",
     "Action",
@@ -111,8 +110,9 @@ class RoadNetwork:
         missing = villages - reached
         if missing:
             raise ConfigurationError(f"villages unreachable from the source: {sorted(missing)}")
-        if not any(SOURCE in self._reachable_from(v) for v in villages):
-            raise ConfigurationError("the source is unreachable from every village")
+        stranded = sorted(v for v in villages if SOURCE not in self._reachable_from(v))
+        if stranded:
+            raise ConfigurationError(f"villages with no road back to the source: {stranded}")
 
     @classmethod
     def from_edges(cls, edges: Iterable[Sequence[int]], village_ids: Iterable[int]) -> "RoadNetwork":
@@ -184,13 +184,6 @@ class RandomReset:
 
 
 @dataclass(frozen=True)
-class FixedReset:
-    """Reset to one configured state."""
-
-    state: WorldState
-
-
-@dataclass(frozen=True)
 class EnvConfig:
     """Immutable environment configuration; shareable between episodes."""
 
@@ -199,7 +192,7 @@ class EnvConfig:
     capacity: int = 60_000
     delivery_quantum: int = 15_000
     total_to_distribute: int = 1_440_000
-    reset_mode: RandomReset | FixedReset = field(default_factory=RandomReset)
+    reset_mode: RandomReset = field(default_factory=RandomReset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "villages", tuple(self.villages))
@@ -219,10 +212,6 @@ class EnvConfig:
             raise ConfigurationError("capacity must be a multiple of the delivery quantum")
         if self.total_to_distribute <= 0:
             raise ConfigurationError("total_to_distribute must be positive")
-        if isinstance(self.reset_mode, FixedReset):
-            self.validate_state(self.reset_mode.state)
-            if self.reset_mode.state.distributed_total >= self.total_to_distribute:
-                raise ConfigurationError("fixed reset state already exhausts the water budget")
 
     @property
     def n_villages(self) -> int:
@@ -346,16 +335,12 @@ class Episode:
         if seed is not None:
             self._rng.seed(seed)
         mode = self.config.reset_mode
-        if isinstance(mode, FixedReset):
-            state = mode.state
-        else:
-            levels = tuple(
-                self._rng.uniform(mode.low, mode.high) for _ in range(self.config.n_villages)
-            )
-            state = WorldState(levels, SOURCE, self.config.capacity, 0)
-        self._state = state
-        self._done = state.distributed_total >= self.config.total_to_distribute
-        return state
+        levels = tuple(
+            self._rng.uniform(mode.low, mode.high) for _ in range(self.config.n_villages)
+        )
+        self._state = WorldState(levels, SOURCE, self.config.capacity, 0)
+        self._done = False
+        return self._state
 
     def reset_to(self, state: WorldState) -> WorldState:
         """Start a new episode from an explicit state (evaluation entry point)."""

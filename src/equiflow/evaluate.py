@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .admissible import ScoredAction, admissible_from, best_scored, is_violation, score_actions
-from .env import Action, EnvConfig, Episode, RandomReset, WorldState
+from .env import Action, EnvConfig, Episode, WorldState
 from .qlearn import QModel, _argmax_q
 
 __all__ = [
@@ -178,7 +178,6 @@ def aggregate_runs(
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     ref_traj, ref_metrics = run_episode(policy, config, reference_initial, epsilon_eval, tau)
-    reset = config.reset_mode if isinstance(config.reset_mode, RandomReset) else RandomReset()
     master = random.Random(seed)
     run_seeds = [master.randrange(2**63) for _ in range(n_runs)]
 
@@ -186,9 +185,7 @@ def aggregate_runs(
     runs: list[RunMetrics] = []
     lengths: list[int] = []
     for run_seed in run_seeds:
-        rng = random.Random(run_seed)
-        levels = tuple(rng.uniform(reset.low, reset.high) for _ in range(config.n_villages))
-        initial = WorldState(levels, -1, config.capacity, 0)
+        initial = Episode(config, seed=run_seed).reset()
         traj, metrics = run_episode(policy, config, initial, epsilon_eval, tau)
         series.append(traj.rewards)
         runs.append(metrics)

@@ -48,35 +48,30 @@ class LevelParams:
 
     ``min_requirement`` and ``desired`` set the band boundaries:
     red bound = max(0, min_requirement - (desired + min_requirement) / 2),
-    green bound = desired + (desired + min_requirement) / 2.  Both can be
-    overridden directly.  ``hidden`` bands split the space in between.
+    green bound = desired + (desired + min_requirement) / 2.  ``hidden``
+    bands split the space in between.
     """
 
     min_requirement: float = 100.0
     desired: float = 350.0
     hidden: int = 5
-    red_override: float | None = None
-    green_override: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_requirement < self.desired < math.inf:
             raise ValueError("need 0 < min_requirement < desired < inf")
         if self.hidden < 1:
             raise ValueError("need at least one hidden band")
-        if not -math.inf < self.red_bound < self.green_bound < math.inf:
-            raise ValueError("level bounds must be finite with red below green")
+        if self.green_bound == math.inf:
+            # A finite desired level near the float maximum still overflows here.
+            raise ValueError("desired is too large: the green bound overflows")
 
     @property
     def red_bound(self) -> float:
-        if self.red_override is not None:
-            return self.red_override
         half = (self.desired + self.min_requirement) / 2.0
         return max(0.0, self.min_requirement - half)
 
     @property
     def green_bound(self) -> float:
-        if self.green_override is not None:
-            return self.green_override
         return self.desired + (self.desired + self.min_requirement) / 2.0
 
     @property
@@ -307,17 +302,18 @@ def _train(
         state = episode.reset()
         key = levelise(state, key_params)
         scored = score_actions(state, config)
+        adm = admissible_from(scored, eps)
+        actions = [sa.action for sa in adm]
         steps = 0
         raw_sum = 0.0
         violations = 0
         while not episode.done:
-            adm = admissible_from(scored, eps)
             if p > 0.0 and rng.random() < p:
                 pool = adm if hyper.explore_admissible_only else scored
                 action = pool[rng.randrange(len(pool))].action
                 explored = True
             else:
-                action = _argmax_q(model, key, [sa.action for sa in adm])
+                action = _argmax_q(model, key, actions)
                 explored = False
             if step_hook is not None:
                 step_hook(o, state, scored, adm, action, explored)
@@ -331,10 +327,9 @@ def _train(
             next_key = levelise(next_state, key_params)
             next_scored = score_actions(next_state, config)
             next_adm = admissible_from(next_scored, eps)
-            double_q_update(
-                model, key, action, next_key, [sa.action for sa in next_adm], reward, rng
-            )
-            state, key, scored = next_state, next_key, next_scored
+            next_actions = [sa.action for sa in next_adm]
+            double_q_update(model, key, action, next_key, next_actions, reward, rng)
+            state, key, scored, adm, actions = next_state, next_key, next_scored, next_adm, next_actions
             steps += 1
 
         clamped = False
@@ -407,25 +402,22 @@ def _rows_to_table(rows: list) -> dict:
 
 
 def _level_params_to_dict(params: LevelParams) -> dict:
-    out = {
+    return {
         "min_requirement": params.min_requirement,
         "desired": params.desired,
         "hidden": params.hidden,
     }
-    if params.red_override is not None:
-        out["red_override"] = params.red_override
-    if params.green_override is not None:
-        out["green_override"] = params.green_override
-    return out
 
 
 def _level_params_from_dict(data: dict) -> LevelParams:
+    unknown = sorted(set(data) - {"min_requirement", "desired", "hidden"})
+    if unknown:
+        # Bands trained under one key set must not silently load under another.
+        raise ConfigurationError(f"unknown level-band keys {unknown}")
     return LevelParams(
         min_requirement=float(data["min_requirement"]),
         desired=float(data["desired"]),
         hidden=int(data["hidden"]),
-        red_override=data.get("red_override"),
-        green_override=data.get("green_override"),
     )
 
 
@@ -484,7 +476,7 @@ def save_model(model: QModel, path: str | Path) -> None:
 
 @contextmanager
 def reporting_malformed(path: str | Path) -> Iterator[None]:
-    """Report invalid JSON, a missing key or a mistyped entry of ``path`` as ConfigurationError."""
+    """Report any malformed or invalid entry of ``path`` as a ConfigurationError naming it."""
     try:
         yield
     except json.JSONDecodeError as exc:
@@ -493,13 +485,15 @@ def reporting_malformed(path: str | Path) -> Iterator[None]:
         raise ConfigurationError(f"{path}: missing key {exc}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: malformed entry ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def load_model(path: str | Path) -> QModel:
     with reporting_malformed(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
-            raise ValueError(f"{path}: not a recognised model file")
+            raise ValueError("not a recognised model file")
         model = QModel(hyper_from_dict(doc["hyper"]), kind=doc["kind"])
         model.avg_reward = float(doc["avg_reward"])
         if doc.get("lagrange") is not None:

@@ -1,6 +1,5 @@
 import csv
 import json
-from pathlib import Path
 
 import pytest
 
@@ -48,11 +47,6 @@ def test_dump_config_applies_seed_override(capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 123
 
 
-def test_shipped_default_config_matches_factory():
-    data_file = Path(__file__).resolve().parents[1] / "src" / "equiflow" / "data" / "default_config.json"
-    assert config_from_dict(json.loads(data_file.read_text())) == default_config()
-
-
 def test_malformed_config_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -68,7 +62,33 @@ def null_villages(data):
     data["env"]["villages"] = None
 
 
-@pytest.mark.parametrize("mutate,named", [(drop_alpha, "'alpha'"), (null_villages, "")])
+def nan_capacity(data):
+    data["env"]["capacity"] = float("nan")
+
+
+def letter_village_id(data):
+    data["env"]["villages"][0]["id"] = "a"
+
+
+def fixed_reset(data):
+    data["env"]["reset"]["mode"] = "fixed"
+
+
+def red_override(data):
+    data["hyper"]["levels"]["red_override"] = 50.0
+
+
+@pytest.mark.parametrize(
+    "mutate,named",
+    [
+        (drop_alpha, "'alpha'"),
+        (null_villages, ""),
+        (nan_capacity, "NaN"),
+        (letter_village_id, "'a'"),
+        (fixed_reset, "'fixed'"),
+        (red_override, "'red_override'"),
+    ],
+)
 def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
     tmp_path, quick_config_path, capsys, mutate, named
 ):

@@ -11,7 +11,6 @@ from equiflow import (
     EnvConfig,
     Episode,
     EpisodeFinishedError,
-    FixedReset,
     IllegalActionError,
     InvalidStateError,
     LocalPolicy,
@@ -191,12 +190,6 @@ def test_step_reward_is_bounded_and_done_on_budget(env_cfg):
         ep.step(Action(1, 0))
 
 
-def test_fixed_reset_returns_configured_state(env_cfg):
-    start = state((0, 300, 200, 200))
-    cfg = replace(env_cfg, reset_mode=FixedReset(start))
-    assert Episode(cfg).reset() == start
-
-
 def test_random_reset_is_seed_deterministic(env_cfg):
     a = Episode(env_cfg, seed=99).reset()
     b = Episode(env_cfg, seed=99).reset()
@@ -292,15 +285,17 @@ def test_config_validation_errors(env_cfg):
     with pytest.raises(ConfigurationError):
         # source unreachable from every village
         RoadNetwork.from_edges([(SOURCE, 0), (SOURCE, 1), (0, 1), (1, 0)], [0, 1])
+    with pytest.raises(ConfigurationError, match=r"\[2\]"):
+        # village 2 has no road out at all
+        RoadNetwork.from_edges(
+            [(SOURCE, 0), (0, SOURCE), (0, 2), (SOURCE, 1), (1, SOURCE)], [0, 1, 2]
+        )
+    with pytest.raises(ConfigurationError, match=r"\[1, 2\]"):
+        # villages 1 and 2 loop among themselves; an empty truck there never refills
+        RoadNetwork.from_edges([(SOURCE, 0), (0, SOURCE), (0, 1), (1, 2), (2, 1)], [0, 1, 2])
 
 
 def test_network_requires_matching_villages(env_cfg):
     network = RoadNetwork.from_edges([(SOURCE, 0), (0, SOURCE)], [0])
     with pytest.raises(ConfigurationError):
         EnvConfig(villages=env_cfg.villages, network=network)
-
-
-def test_fixed_reset_must_leave_budget(env_cfg):
-    start = state((0, 300, 200, 200), distributed=env_cfg.total_to_distribute)
-    with pytest.raises(ConfigurationError):
-        replace(env_cfg, reset_mode=FixedReset(start))

@@ -67,13 +67,6 @@ def test_levelise_copies_position_and_load():
     assert key == LevelisedState((0, 3, 2, 2), 3, 15000)
 
 
-def test_levelise_with_boundary_overrides():
-    params = LevelParams(red_override=50.0)
-    mk = lambda x: WorldState((x, 0.0, 0.0, 0.0), -1, 0, 0)
-    assert levelise(mk(50.0), params).levels[0] == 0
-    assert levelise(mk(50.1), params).levels[0] == 1
-
-
 def test_key_space_over_reachable_states(env_cfg):
     params = LevelParams()
     for s in random_walk_states(env_cfg, seed=31, count=300):
@@ -88,6 +81,8 @@ def test_level_params_validation():
         LevelParams(min_requirement=400.0, desired=350.0)
     with pytest.raises(ValueError):
         LevelParams(hidden=0)
+    with pytest.raises(ValueError):
+        LevelParams(min_requirement=1.0, desired=1.5e308)  # finite, but the green bound overflows
 
 
 def test_hyperparams_validation():

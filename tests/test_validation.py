@@ -51,7 +51,6 @@ ENTRY_POINTS = {
     "run_episode.tau": (ValueError, lambda x: run_episode(LocalPolicy(), ENV, START, 0.1, x)),
     "RandomReset.high": (ConfigurationError, lambda x: RandomReset(0.0, x)),
     "LevelParams.desired": (ValueError, lambda x: LevelParams(desired=x)),
-    "LevelParams.red_override": (ValueError, lambda x: LevelParams(red_override=x)),
     "LagrangeState.lam": (ValueError, lambda x: LagrangeState(lam=x)),
 }
 
