@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .env import (
-    SOURCE,
-    ConfigurationError,
-    EnvConfig,
-    RandomReset,
-    RoadNetwork,
-    VillageSpec,
-    WorldState,
-)
-from .qlearn import Hyperparams, hyper_from_dict, hyper_to_dict, reporting_malformed
+from .env import (SOURCE, ConfigurationError, EnvConfig, RandomReset, RoadNetwork, VillageSpec,
+                  WorldState)
+from .qlearn import (Hyperparams, as_float, as_int, as_str, hyper_from_dict, read_fields,
+                     reporting_malformed)
 
 __all__ = [
     "EvalSettings",
@@ -132,92 +126,54 @@ def evaluation_initial(config: ExperimentConfig) -> WorldState:
 # ---------------------------------------------------------------------------
 # JSON marshalling
 
-def _village_to_dict(v: VillageSpec) -> dict:
-    return {
-        "id": v.id,
-        "population": v.population,
-        "base_rate": v.base_rate,
-        "high_rate": v.high_rate,
-        "threshold": v.threshold,
-    }
+def _reset_from_dict(data: object) -> RandomReset:
+    fields = read_fields(data, {"mode": as_str, "low": as_float, "high": as_float}, "env.reset")
+    mode = fields.pop("mode")
+    if mode != "random":
+        raise ValueError(f"unknown reset mode {mode!r}")
+    return RandomReset(**fields)
 
 
-def env_to_dict(env: EnvConfig) -> dict:
-    reset = {"mode": "random", "low": env.reset_mode.low, "high": env.reset_mode.high}
-    return {
-        "villages": [_village_to_dict(v) for v in env.villages],
-        "edges": sorted([a, b] for a, b in env.network.edges),
-        "capacity": env.capacity,
-        "delivery_quantum": env.delivery_quantum,
-        "total_to_distribute": env.total_to_distribute,
-        "reset": reset,
-    }
+_VILLAGE_FIELDS = {"id": as_int, "population": as_int, "base_rate": as_float,
+                   "high_rate": as_float, "threshold": as_float}
+_ENV_FIELDS = {
+    "villages": lambda villages: tuple(
+        VillageSpec(**read_fields(v, _VILLAGE_FIELDS, f"env.villages[{i}]"))
+        for i, v in enumerate(villages)
+    ),
+    "edges": lambda edges: [(as_int(a), as_int(b)) for a, b in edges],
+    **dict.fromkeys(("capacity", "delivery_quantum", "total_to_distribute"), as_int),
+    "reset": _reset_from_dict,
+}
 
 
-def env_from_dict(data: dict) -> EnvConfig:
-    villages = tuple(
-        VillageSpec(
-            id=int(v["id"]),
-            population=int(v["population"]),
-            base_rate=float(v["base_rate"]),
-            high_rate=float(v["high_rate"]),
-            threshold=float(v["threshold"]),
-        )
-        for v in data["villages"]
-    )
-    network = RoadNetwork.from_edges(data["edges"], [v.id for v in villages])
-    reset_data = data.get("reset", {"mode": "random", "low": 0.0, "high": 600.0})
-    if reset_data["mode"] != "random":
-        raise ConfigurationError(f"unknown reset mode {reset_data['mode']!r}")
-    reset = RandomReset(float(reset_data.get("low", 0.0)), float(reset_data.get("high", 600.0)))
-    return EnvConfig(
-        villages=villages,
-        network=network,
-        capacity=int(data["capacity"]),
-        delivery_quantum=int(data["delivery_quantum"]),
-        total_to_distribute=int(data["total_to_distribute"]),
-        reset_mode=reset,
-    )
+def env_from_dict(data: object) -> EnvConfig:
+    fields = read_fields(data, _ENV_FIELDS, "env")
+    network = RoadNetwork.from_edges(fields.pop("edges"), [v.id for v in fields["villages"]])
+    return EnvConfig(network=network, reset_mode=fields.pop("reset"), **fields)
 
 
-def _eval_to_dict(ev: EvalSettings) -> dict:
-    return {
-        "n_runs": ev.n_runs,
-        "epsilon_eval": ev.epsilon_eval,
-        "mode": ev.mode,
-        "fixed_levels": list(ev.fixed_levels),
-        "total_to_distribute": ev.total_to_distribute,
-    }
-
-
-def _eval_from_dict(data: dict) -> EvalSettings:
-    return EvalSettings(
-        n_runs=int(data["n_runs"]),
-        epsilon_eval=float(data["epsilon_eval"]),
-        mode=str(data["mode"]),
-        fixed_levels=tuple(float(x) for x in data["fixed_levels"]),
-        total_to_distribute=int(data["total_to_distribute"]),
-    )
+_EVAL_FIELDS = {"n_runs": as_int, "epsilon_eval": as_float, "mode": as_str,
+                "fixed_levels": lambda levels: tuple(as_float(x) for x in levels),
+                "total_to_distribute": as_int}
+_CONFIG_FIELDS = {"seed": as_int, "policy_kind": as_str, "env": env_from_dict,
+                  "hyper": hyper_from_dict,
+                  "eval": lambda data: EvalSettings(**read_fields(data, _EVAL_FIELDS, "eval"))}
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "policy_kind": config.policy_kind,
-        "env": env_to_dict(config.env),
-        "hyper": hyper_to_dict(config.hyper),
-        "eval": _eval_to_dict(config.eval),
-    }
+    doc = asdict(config)
+    env = doc["env"]
+    del env["network"]
+    env["edges"] = sorted([a, b] for a, b in config.env.network.edges)
+    env["reset"] = {"mode": "random", **env.pop("reset_mode")}
+    env["villages"] = list(env["villages"])
+    doc["eval"]["fixed_levels"] = list(config.eval.fixed_levels)
+    return doc
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        env=env_from_dict(data["env"]),
-        hyper=hyper_from_dict(data["hyper"]),
-        policy_kind=str(data.get("policy_kind", "eadql")),
-        eval=_eval_from_dict(data["eval"]),
-        seed=int(data["seed"]),
-    )
+def config_from_dict(data: object) -> ExperimentConfig:
+    return ExperimentConfig(**read_fields(data, _CONFIG_FIELDS))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

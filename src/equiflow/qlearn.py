@@ -18,7 +18,7 @@ import json
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
@@ -74,10 +74,6 @@ class LevelParams:
     def green_bound(self) -> float:
         return self.desired + (self.desired + self.min_requirement) / 2.0
 
-    @property
-    def top_level(self) -> int:
-        return self.hidden + 1
-
 
 class LevelisedState(NamedTuple):
     """Discrete Q-table key: level band per village, truck position, load."""
@@ -119,8 +115,8 @@ class Hyperparams:
     tau: float = 0.7  # equity floor for the constrained trainer
     episodes: int = 30_000
     p0: float = 0.3  # initial exploration rate, decays linearly to 0
-    levels: LevelParams = field(default_factory=LevelParams)
     explore_admissible_only: bool = False
+    levels: LevelParams = field(default_factory=LevelParams)
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "alpha_lambda", "beta_v", "beta_r"):
@@ -396,61 +392,85 @@ def _table_to_rows(table: dict) -> list[list]:
 
 def _rows_to_table(rows: list) -> dict:
     return {
-        (_decode_state_key(key), _decode_action(action)): float(value)
+        (_decode_state_key(key), _decode_action(action)): as_float(value)
         for key, action, value in rows
     }
 
 
-def _level_params_to_dict(params: LevelParams) -> dict:
-    return {
-        "min_requirement": params.min_requirement,
-        "desired": params.desired,
-        "hidden": params.hidden,
-    }
+class KeyPathError(ConfigurationError):
+    """A config or model entry is unknown, missing or malformed; the message names its key path."""
 
 
-def _level_params_from_dict(data: dict) -> LevelParams:
-    unknown = sorted(set(data) - {"min_requirement", "desired", "hidden"})
+def read_fields(data: object, converters: dict[str, Callable], where: str = "") -> dict:
+    """Convert the JSON object ``data``, which must have exactly the keys of ``converters``.
+
+    ``where`` is the key path of ``data`` in its document ("" at the top);
+    every section of a config or model document is read through here.
+    """
+    at = f"{where}: " if where else ""
+    if not isinstance(data, dict):
+        raise KeyPathError(f"{at}expected a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(converters))
     if unknown:
-        # Bands trained under one key set must not silently load under another.
-        raise ConfigurationError(f"unknown level-band keys {unknown}")
-    return LevelParams(
-        min_requirement=float(data["min_requirement"]),
-        desired=float(data["desired"]),
-        hidden=int(data["hidden"]),
-    )
+        raise KeyPathError(f"{at}unknown keys {unknown}")
+    out = {}
+    for key, convert in converters.items():
+        if key not in data:
+            raise KeyPathError(f"{at}missing key {key!r}")
+        try:
+            out[key] = convert(data[key])
+        except KeyPathError:
+            raise
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise KeyPathError(f"{where}.{key}: {exc}" if where else f"{key}: {exc}") from exc
+    return out
 
 
-def hyper_to_dict(hyper: Hyperparams) -> dict:
-    return {
-        "alpha": hyper.alpha,
-        "beta": hyper.beta,
-        "alpha_lambda": hyper.alpha_lambda,
-        "beta_v": hyper.beta_v,
-        "beta_r": hyper.beta_r,
-        "epsilon": hyper.epsilon,
-        "tau": hyper.tau,
-        "episodes": hyper.episodes,
-        "p0": hyper.p0,
-        "explore_admissible_only": hyper.explore_admissible_only,
-        "levels": _level_params_to_dict(hyper.levels),
-    }
+def as_bool(value: object) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")
 
 
-def hyper_from_dict(data: dict) -> Hyperparams:
-    return Hyperparams(
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-        alpha_lambda=float(data["alpha_lambda"]),
-        beta_v=float(data["beta_v"]),
-        beta_r=float(data["beta_r"]),
-        epsilon=float(data["epsilon"]),
-        tau=float(data["tau"]),
-        episodes=int(data["episodes"]),
-        p0=float(data["p0"]),
-        explore_admissible_only=bool(data.get("explore_admissible_only", False)),
-        levels=_level_params_from_dict(data["levels"]),
-    )
+def as_int(value: object) -> int:
+    if isinstance(value, float) and int(value) == value:  # int() rejects NaN and infinity
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def as_float(value: object) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
+def as_str(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
+
+
+_LEVEL_FIELDS = {"min_requirement": as_float, "desired": as_float, "hidden": as_int}
+_HYPER_FLOATS = ("alpha", "beta", "alpha_lambda", "beta_v", "beta_r", "epsilon", "tau", "p0")
+_HYPER_FIELDS = {
+    **dict.fromkeys(_HYPER_FLOATS, as_float),
+    "episodes": as_int,
+    "explore_admissible_only": as_bool,
+    "levels": lambda data: LevelParams(**read_fields(data, _LEVEL_FIELDS, "hyper.levels")),
+}
+_LAGRANGE_FIELDS = dict.fromkeys(("lam", "reward_estimate", "violation_estimate"), as_float)
+
+
+def hyper_from_dict(data: object) -> Hyperparams:
+    return Hyperparams(**read_fields(data, _HYPER_FIELDS, "hyper"))
+
+
+_MODEL_FIELDS = {"format": as_str, "version": as_int, "kind": as_str, "hyper": hyper_from_dict,
+                 "avg_reward": as_float, "qa": _rows_to_table, "qb": _rows_to_table,
+                 "lagrange": lambda data: None if data is None
+                 else LagrangeState(**read_fields(data, _LAGRANGE_FIELDS, "lagrange"))}
 
 
 def save_model(model: QModel, path: str | Path) -> None:
@@ -459,15 +479,9 @@ def save_model(model: QModel, path: str | Path) -> None:
         "format": _FORMAT,
         "version": _VERSION,
         "kind": model.kind,
-        "hyper": hyper_to_dict(model.hyper),
+        "hyper": asdict(model.hyper),
         "avg_reward": model.avg_reward,
-        "lagrange": None
-        if model.lagrange is None
-        else {
-            "lam": model.lagrange.lam,
-            "reward_estimate": model.lagrange.reward_estimate,
-            "violation_estimate": model.lagrange.violation_estimate,
-        },
+        "lagrange": None if model.lagrange is None else asdict(model.lagrange),
         "qa": _table_to_rows(model.qa),
         "qb": _table_to_rows(model.qb),
     }
@@ -481,10 +495,6 @@ def reporting_malformed(path: str | Path) -> Iterator[None]:
         yield
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing key {exc}") from exc
-    except (TypeError, AttributeError, OverflowError) as exc:
-        raise ConfigurationError(f"{path}: malformed entry ({exc})") from exc
     except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -492,17 +502,11 @@ def reporting_malformed(path: str | Path) -> Iterator[None]:
 def load_model(path: str | Path) -> QModel:
     with reporting_malformed(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
+        header = (doc.get("format"), doc.get("version")) if isinstance(doc, dict) else None
+        if header != (_FORMAT, _VERSION):
             raise ValueError("not a recognised model file")
-        model = QModel(hyper_from_dict(doc["hyper"]), kind=doc["kind"])
-        model.avg_reward = float(doc["avg_reward"])
-        if doc.get("lagrange") is not None:
-            lag = doc["lagrange"]
-            model.lagrange = LagrangeState(
-                lam=float(lag["lam"]),
-                reward_estimate=float(lag["reward_estimate"]),
-                violation_estimate=float(lag["violation_estimate"]),
-            )
-        model.qa = _rows_to_table(doc["qa"])
-        model.qb = _rows_to_table(doc["qb"])
+        fields = read_fields(doc, _MODEL_FIELDS)
+    model = QModel(fields["hyper"], kind=fields["kind"])
+    model.avg_reward, model.lagrange = fields["avg_reward"], fields["lagrange"]
+    model.qa, model.qb = fields["qa"], fields["qb"]
     return model

@@ -2,7 +2,19 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equiflow import (
+    EnvConfig,
+    EvalSettings,
+    ExperimentConfig,
+    Hyperparams,
+    LevelParams,
+    RandomReset,
+    RoadNetwork,
+    VillageSpec,
+)
 from equiflow.cli import main
 from equiflow.config import config_from_dict, config_to_dict, default_config, dump_config
 
@@ -42,6 +54,74 @@ def test_dump_config_roundtrip(capsys):
     assert dump_config(cfg) == text
 
 
+FINITE = st.floats(0.0, 1e6)
+RATE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def road_graphs(draw):
+    """Village count and edges of a map where every village is reachable from
+    the source and can return to it: village v has a road in from, and a road
+    out to, the source or an earlier village, plus any extra roads."""
+    n = draw(st.integers(1, 6))
+    edges = set()
+    for v in range(n):
+        edges.add((draw(st.integers(-1, v - 1)), v))
+        edges.add((v, draw(st.integers(-1, v - 1))))
+    nodes = st.integers(-1, n - 1)
+    extra = draw(st.lists(st.tuples(nodes, nodes).filter(lambda e: e[0] != e[1]), max_size=8))
+    return n, edges | set(extra)
+
+
+@st.composite
+def experiment_configs(draw):
+    n, edges = draw(road_graphs())
+    villages = [
+        VillageSpec(i, draw(st.integers(1, 5000)), draw(FINITE), draw(FINITE), draw(FINITE))
+        for i in range(n)
+    ]
+    quantum = draw(st.integers(1, 20_000))
+    low = draw(FINITE)
+    env = EnvConfig(
+        villages=tuple(villages),
+        network=RoadNetwork.from_edges(edges, range(n)),
+        capacity=quantum * draw(st.integers(1, 6)),
+        delivery_quantum=quantum,
+        total_to_distribute=draw(st.integers(1, 10**7)),
+        reset_mode=RandomReset(low, draw(st.floats(low, 1e6))),
+    )
+    min_requirement = draw(st.floats(1e-3, 1e5))
+    hyper = Hyperparams(
+        alpha=draw(RATE), beta=draw(RATE), alpha_lambda=draw(RATE),
+        beta_v=draw(RATE), beta_r=draw(RATE), epsilon=draw(FINITE),
+        tau=draw(st.floats(0.0, 1.0, exclude_max=True)), episodes=draw(st.integers(0, 10**6)),
+        p0=draw(st.floats(0.0, 1.0)), explore_admissible_only=draw(st.booleans()),
+        levels=LevelParams(
+            min_requirement, draw(st.floats(min_requirement, 1e6, exclude_min=True)),
+            draw(st.integers(1, 12)),
+        ),
+    )
+    evaluation = EvalSettings(
+        n_runs=draw(st.integers(1, 500)),
+        epsilon_eval=draw(FINITE),
+        mode=draw(st.sampled_from(["fixed", "random"])),
+        fixed_levels=tuple(draw(st.lists(FINITE, min_size=n, max_size=n))),
+        total_to_distribute=draw(st.integers(1, 10**7)),
+    )
+    return ExperimentConfig(
+        env=env, hyper=hyper, policy_kind=draw(st.sampled_from(["local", "eadql", "ecadql"])),
+        eval=evaluation, seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiment_configs())
+def test_config_roundtrip_over_random_road_graphs(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    text = dump_config(cfg)
+    assert dump_config(config_from_dict(json.loads(text))) == text
+
+
 def test_dump_config_applies_seed_override(capsys):
     assert main(["dump-config", "--seed", "123"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 123
@@ -54,28 +134,77 @@ def test_malformed_config_is_a_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Each mutation returns the start of the error message: the key path and,
+# for unknown or missing keys, what is wrong there.
+
 def drop_alpha(data):
     del data["hyper"]["alpha"]
+    return "hyper: missing key 'alpha'"
 
 
 def null_villages(data):
     data["env"]["villages"] = None
+    return "env.villages: "
 
 
 def nan_capacity(data):
     data["env"]["capacity"] = float("nan")
+    return "env.capacity: "
 
 
 def letter_village_id(data):
     data["env"]["villages"][0]["id"] = "a"
+    return "env.villages[0].id: "
 
 
 def fixed_reset(data):
     data["env"]["reset"]["mode"] = "fixed"
+    return "env.reset: "
 
 
 def red_override(data):
     data["hyper"]["levels"]["red_override"] = 50.0
+    return "hyper.levels: unknown keys ['red_override']"
+
+
+def misspelt_top_level_key(data):
+    data["sed"] = data.pop("seed")
+    return "unknown keys ['sed']"
+
+
+def misspelt_env_key(data):
+    data["env"]["capacty"] = data["env"].pop("capacity")
+    return "env: unknown keys ['capacty']"
+
+
+def misspelt_village_key(data):
+    data["env"]["villages"][0]["treshold"] = data["env"]["villages"][0].pop("threshold")
+    return "env.villages[0]: unknown keys ['treshold']"
+
+
+def misspelt_reset_key(data):
+    data["env"]["reset"]["hihg"] = data["env"]["reset"].pop("high")
+    return "env.reset: unknown keys ['hihg']"
+
+
+def misspelt_eval_key(data):
+    data["eval"]["epsilon_evl"] = data["eval"].pop("epsilon_eval")
+    return "eval: unknown keys ['epsilon_evl']"
+
+
+def misspelt_hyper_key(data):
+    data["hyper"]["explore_admisible_only"] = data["hyper"].pop("explore_admissible_only")
+    return "hyper: unknown keys ['explore_admisible_only']"
+
+
+def string_false(data):
+    data["hyper"]["explore_admissible_only"] = "false"
+    return "hyper.explore_admissible_only: "
+
+
+def fractional_episodes(data):
+    data["hyper"]["episodes"] = 2.7
+    return "hyper.episodes: "
 
 
 @pytest.mark.parametrize(
@@ -87,18 +216,26 @@ def red_override(data):
         (letter_village_id, "'a'"),
         (fixed_reset, "'fixed'"),
         (red_override, "'red_override'"),
+        (misspelt_top_level_key, "'sed'"),
+        (misspelt_env_key, "'capacty'"),
+        (misspelt_village_key, "'treshold'"),
+        (misspelt_reset_key, "'hihg'"),
+        (misspelt_eval_key, "'epsilon_evl'"),
+        (misspelt_hyper_key, "'explore_admisible_only'"),
+        (string_false, "'false'"),
+        (fractional_episodes, "2.7"),
     ],
 )
 def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
     tmp_path, quick_config_path, capsys, mutate, named
 ):
     data = json.loads(quick_config_path.read_text())
-    mutate(data)
+    key_path = mutate(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and named in err
+    assert err.startswith(f"error: {bad}: {key_path}") and named in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
@@ -112,7 +249,36 @@ def test_model_without_q_table_is_a_clean_error(tmp_path, quick_config_path, cap
     assert main(["evaluate", "--config", str(quick_config_path), "--model", str(model_path),
                  "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {model_path}: ") and "'qa'" in err
+    assert err.startswith(f"error: {model_path}: missing key 'qa'")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def unknown_model_key(doc):
+    doc["avg_reward_estimate"] = doc["avg_reward"]
+    return "unknown keys ['avg_reward_estimate']"
+
+
+def unknown_lagrange_key(doc):
+    doc["lagrange"]["lamda"] = doc["lagrange"].pop("lam")
+    return "lagrange: unknown keys ['lamda']"
+
+
+@pytest.mark.parametrize("mutate", [unknown_model_key, unknown_lagrange_key])
+def test_model_with_unknown_key_is_a_clean_error(tmp_path, quick_config_path, capsys, mutate):
+    data = json.loads(quick_config_path.read_text())
+    data["policy_kind"] = "ecadql"  # a model with a Lagrange block
+    cfg = tmp_path / "ecadql.json"
+    cfg.write_text(json.dumps(data))
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(cfg), "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    key_path = mutate(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model_path),
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path}: {key_path}")
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 

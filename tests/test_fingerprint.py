@@ -3,9 +3,10 @@
 A short seeded training of both learners on the shipped default config, the
 fixed evaluation scenario of the local baseline and of both models, and a
 20-start aggregate at eps_eval 0.01 are written through the same public
-calls the CLI uses.  Any change to dynamics, scoring, admissibility, the
-double-Q update, the Lagrange update, evaluation or serialisation changes
-at least one digest; such a change must be deliberate and noted.
+calls the CLI uses, as is the ``dump-config`` text of the default config.
+Any change to dynamics, scoring, admissibility, the double-Q update, the
+Lagrange update, evaluation or serialisation changes at least one digest;
+such a change must be deliberate and noted.
 """
 import hashlib
 from dataclasses import replace
@@ -13,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from equiflow import LocalPolicy, ModelPolicy, aggregate_runs, run_episode
-from equiflow.config import default_config, evaluation_env, evaluation_initial
+from equiflow.config import default_config, dump_config, evaluation_env, evaluation_initial
 from equiflow.evaluate import write_compare_series_csv, write_series_csv
 from equiflow.qlearn import save_model, train_eadql, train_ecadql
 
@@ -22,6 +23,7 @@ AGGREGATE_RUNS = 20
 AGGREGATE_EPS = 0.01
 
 GOLDEN = {
+    "config.json": "202261738400b337b68cd7b9a308e7b930a392951ec8b022d2c25fd2ebccec64",
     "eadql.json": "ffa562d4a15bfaa0cdd2cc4b6de41b8cfe0ce73810ccbe47de7a28d97a00939f",
     "ecadql.json": "7becc7d90bee5e9cea52d821183c8218c2f61a47cadb7e9bd6af3d242f454b58",
     "series_local.csv": "4548b2df450bea26ac79e98d2da064013f74c02d99012d3e3c968336bb7b6567",
@@ -39,6 +41,7 @@ def sha256(path) -> str:
 def digests(tmp_path_factory):
     out = tmp_path_factory.mktemp("fingerprint")
     cfg = default_config()
+    (out / "config.json").write_text(dump_config(cfg), encoding="utf-8")
     hyper = replace(cfg.hyper, episodes=EPISODES)
     policies = [LocalPolicy()]
     for kind, trainer in (("eadql", train_eadql), ("ecadql", train_ecadql)):

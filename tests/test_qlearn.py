@@ -41,7 +41,7 @@ def test_default_band_boundaries():
     params = LevelParams()
     assert params.red_bound == 0.0
     assert params.green_bound == 575.0
-    assert params.top_level == 6
+    assert params.hidden + 1 == 6  # the top band, above the green bound
 
 
 @pytest.mark.parametrize(
