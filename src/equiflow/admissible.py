@@ -1,7 +1,8 @@
 """Action scoring and admissibility: which moves keep equity close to the best.
 
 Every legal action is scored with the equity of the state it would produce
-(one-step lookahead through the deterministic dynamics).  An action is
+(one-step lookahead through the deterministic dynamics, read from the
+successor table ``env.successors`` builds in one pass per state).  An action is
 epsilon-admissible when its score is within ``epsilon`` of the best score;
 the greedy baseline policy always takes a best-scoring action.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .env import Action, EnvConfig, WorldState, available_actions, predict_transition
+from .env import Action, EnvConfig, WorldState, successors
 
 __all__ = ["ScoredAction", "score_actions", "admissible_from", "best_scored", "is_violation"]
 
@@ -21,12 +22,12 @@ class ScoredAction(NamedTuple):
 
 
 def score_actions(state: WorldState, config: EnvConfig) -> list[ScoredAction]:
-    """Score every available action; order follows (destination, dispense)."""
-    equity = config.equity_of
-    return [
-        ScoredAction(a, equity(predict_transition(state, a, config).levels))
-        for a in available_actions(state, config)
-    ]
+    """Score every available action; order follows (destination, dispense).
+
+    Reads the one-pass ``successors`` table, which stays memoised for this
+    state object so the ``Episode.step`` that follows commits its entry.
+    """
+    return [ScoredAction(a, score) for a, (_, score) in successors(state, config).items()]
 
 
 def admissible_from(scored: Sequence[ScoredAction], epsilon: float) -> list[ScoredAction]:

@@ -13,6 +13,11 @@ water.  Movement rules:
 
 An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
+
+``successors`` is the one copy of the dynamics: per state, every village
+consumes once and each action's successor replaces only its destination
+entry.  The last state's table stays on the config, keyed by object
+identity, so scoring a state and stepping from it cost one pass together.
 """
 from __future__ import annotations
 
@@ -27,23 +32,10 @@ from .equity import make_equity_scorer
 SOURCE = -1
 
 __all__ = [
-    "SOURCE",
-    "ConfigurationError",
-    "EmptyActionSetError",
-    "InvalidStateError",
-    "IllegalActionError",
-    "EpisodeFinishedError",
-    "VillageSpec",
-    "RoadNetwork",
-    "RandomReset",
-    "EnvConfig",
-    "WorldState",
-    "Action",
-    "StepOutcome",
-    "Episode",
-    "available_actions",
-    "consume",
-    "predict_transition",
+    "SOURCE", "ConfigurationError", "EmptyActionSetError", "InvalidStateError",
+    "IllegalActionError", "EpisodeFinishedError", "VillageSpec", "RoadNetwork", "RandomReset",
+    "EnvConfig", "WorldState", "Action", "StepOutcome", "Episode", "available_actions",
+    "consume", "predict_transition", "successors"
 ]
 
 
@@ -227,6 +219,11 @@ class EnvConfig:
         return make_equity_scorer(self.populations)
 
     @cached_property
+    def _successor_memo(self) -> list:
+        """One slot, ``(state, successors(state))`` of the last expanded state."""
+        return [(object(), {})]
+
+    @cached_property
     def _rate_table(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((v.base_rate, v.high_rate, v.threshold) for v in self.villages)
 
@@ -255,8 +252,9 @@ class EnvConfig:
     def validate_state(self, state: WorldState) -> None:
         if state.position not in self.network.nodes:
             raise InvalidStateError(f"position {state.position} is not in the network")
-        if len(state.levels) != self.n_villages:
-            raise InvalidStateError("level vector length does not match the village count")
+        # A tuple, so that a table memoised for this state object stays valid.
+        if not isinstance(state.levels, tuple) or len(state.levels) != self.n_villages:
+            raise InvalidStateError("levels must be a tuple with one entry per village")
         if not all(0.0 <= x < math.inf for x in state.levels):
             raise InvalidStateError("water levels must be finite and non-negative")
         if not 0 <= state.load <= self.capacity or state.load % self.delivery_quantum != 0:
@@ -287,23 +285,45 @@ def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...
     return acts
 
 
+def successors(state: WorldState, config: EnvConfig) -> dict[Action, tuple[WorldState, float]]:
+    """``{action: (next state, its equity)}`` for every legal action, in action order.
+
+    Move and dispense, then every village consumes.  Asked again for the same
+    state object, it returns the same table, kept on ``config``: do not mutate it.
+    """
+    last, table = config._successor_memo[0]
+    if last is state:
+        return table
+    acts = available_actions(state, config)
+    equity, rates, levels = config.equity_of, config._rate_table, state.levels
+    base = tuple([consume(lvl, *rate) for lvl, rate in zip(levels, rates)])
+    base_score = None  # shared by every zero-litre and source move
+    table = {}
+    for action in acts:
+        dest, dispense = action
+        new, score = base, base_score
+        if dispense:
+            lifted = consume(levels[dest] + dispense / config.populations[dest], *rates[dest])
+            new = base[:dest] + (lifted,) + base[dest + 1:]
+            score = equity(new)
+        elif score is None:
+            score = base_score = equity(base)
+        load = config.capacity if dest == SOURCE else state.load - dispense
+        table[action] = (WorldState(new, dest, load, state.distributed_total + dispense), score)
+    config._successor_memo[0] = (state, table)
+    return table
+
+
+def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[WorldState, float]:
+    entry = successors(state, config).get(action)
+    if entry is None:
+        raise IllegalActionError(f"action {action} is not available from {state}")
+    return entry
+
+
 def predict_transition(state: WorldState, action: Action, config: EnvConfig) -> WorldState:
     """Pure one-step dynamics: move and dispense, then all villages consume."""
-    if action not in available_actions(state, config):
-        raise IllegalActionError(f"action {action} is not available from {state}")
-    dest, dispense = action
-    levels = list(state.levels)
-    if dest == SOURCE:
-        load = config.capacity
-    else:
-        load = state.load - dispense
-        if dispense:
-            levels[dest] += dispense / config.populations[dest]
-    new_levels = tuple(
-        consume(lvl, base, high, thr)
-        for lvl, (base, high, thr) in zip(levels, config._rate_table)
-    )
-    return WorldState(new_levels, dest, load, state.distributed_total + dispense)
+    return _successor(state, action, config)[0]
 
 
 class Episode:
@@ -353,8 +373,7 @@ class Episode:
         """Apply ``action``; reward is the equity score of the produced state."""
         if self._done:
             raise EpisodeFinishedError("episode already distributed its water budget")
-        nxt = predict_transition(self.state, action, self.config)
-        reward = self.config.equity_of(nxt.levels)
+        nxt, reward = _successor(self.state, action, self.config)
         done = nxt.distributed_total >= self.config.total_to_distribute
         self._state = nxt
         self._done = done

@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
-from equiflow import Action, Episode, EnvConfig, WorldState, available_actions
+from equiflow import SOURCE, Action, Episode, EnvConfig, WorldState, available_actions
 
 
 def expanded_gini_rank(values, weights) -> float:
@@ -92,3 +93,36 @@ def random_walk_states(
 def random_legal_action(state: WorldState, config: EnvConfig, rng: random.Random) -> Action:
     acts = available_actions(state, config)
     return acts[rng.randrange(len(acts))]
+
+
+def reference_transition(state: WorldState, action: Action, config: EnvConfig) -> WorldState:
+    """One step the direct way: copy the levels, add the delivery per
+    inhabitant at the destination, then let every village consume."""
+    dest, dispense = action
+    levels = list(state.levels)
+    if dest == SOURCE:
+        load = config.capacity
+    else:
+        load = state.load - dispense
+        if dispense:
+            levels[dest] += dispense / config.villages[dest].population
+    consumed = []
+    for level, village in zip(levels, config.villages):
+        left = level - (village.high_rate if level > village.threshold else village.base_rate)
+        consumed.append(left if left > 0.0 else 0.0)
+    return WorldState(tuple(consumed), dest, load, state.distributed_total + dispense)
+
+
+@st.composite
+def road_graphs(draw):
+    """Village count and edges of a map where every village is reachable from
+    the source and can return to it: village v has a road in from, and a road
+    out to, the source or an earlier village, plus any extra roads."""
+    n = draw(st.integers(1, 6))
+    edges = set()
+    for v in range(n):
+        edges.add((draw(st.integers(-1, v - 1)), v))
+        edges.add((v, draw(st.integers(-1, v - 1))))
+    nodes = st.integers(-1, n - 1)
+    extra = draw(st.lists(st.tuples(nodes, nodes).filter(lambda e: e[0] != e[1]), max_size=8))
+    return n, edges | set(extra)

@@ -13,13 +13,12 @@ from equiflow import (
     available_actions,
     best_scored,
     is_violation,
-    predict_transition,
     run_episode,
     score_actions,
 )
 from equiflow.config import evaluation_initial
 
-from helpers import random_walk_states
+from helpers import random_walk_states, reference_transition
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
 
@@ -28,7 +27,7 @@ def test_scores_match_transition_lookahead(env_cfg):
     scored = score_actions(EVAL_START, env_cfg)
     assert [sa.action for sa in scored] == list(available_actions(EVAL_START, env_cfg))
     for sa in scored:
-        nxt = predict_transition(EVAL_START, sa.action, env_cfg)
+        nxt = reference_transition(EVAL_START, sa.action, env_cfg)
         assert sa.successor_alignment == env_cfg.equity_of(nxt.levels)
 
 

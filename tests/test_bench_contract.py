@@ -1,22 +1,35 @@
 """The names the benchmark in ``bench/`` wraps and calls must keep existing.
 
 A rename that the tracer cannot resolve would otherwise only show up as a
-``missing_layers`` entry in a traced benchmark run, and a config document
-the parser rejects only as a failed benchmark run.  This module reads
-``bench/`` and runs its self-test; it changes nothing there.
+``missing_layers`` entry in a traced benchmark run, a config document the
+parser rejects only as a failed benchmark run, and a change in how often the
+step loop calls a layer only as a failed call-count check of a traced run.
+This module reads ``bench/`` and runs its self-test; it changes nothing there.
 """
 import importlib
 import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from equiflow.config import config_from_dict, config_to_dict, default_config, dump_config
-from equiflow.env import EnvConfig
+import equiflow.env
+import equiflow.evaluate
+import equiflow.qlearn
+from equiflow import LocalPolicy, run_episode, train_ecadql
+from equiflow.config import (
+    config_from_dict,
+    config_to_dict,
+    default_config,
+    dump_config,
+    evaluation_initial,
+)
+from equiflow.env import Episode, EnvConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -62,3 +75,49 @@ def test_bench_selftest_passes():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest: 0 failure(s)" in done.stdout
+
+
+def test_step_loop_call_counts(monkeypatch):
+    """The counts ``bench/run.py:check_traced_totals`` checks, and one state
+    expansion per scored state with at most one equity evaluation per scored
+    action (so that stepping never simulates a scored successor again)."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "score_actions":
+                counts["scored"] += len(result)
+            return result
+        return wrapper
+
+    for module in (equiflow.qlearn, equiflow.evaluate):
+        wrapped = counting("score_actions", module.score_actions)
+        monkeypatch.setattr(module, "score_actions", wrapped)
+    monkeypatch.setattr(equiflow.qlearn, "double_q_update",
+                        counting("double_q_update", equiflow.qlearn.double_q_update))
+    monkeypatch.setattr(equiflow.env, "available_actions",
+                        counting("available_actions", equiflow.env.available_actions))
+    monkeypatch.setattr(Episode, "step", counting("step", Episode.step))
+    config = default_config()
+    env = replace(config.env)  # a fresh config, so that its scorer can be wrapped
+    object.__setattr__(env, "equity_of", counting("equity", env.equity_of))
+
+    stats = []
+    train_ecadql(env, replace(config.hyper, episodes=20), 7, on_episode=stats.append)
+    steps = sum(s.length for s in stats)
+    assert steps > 0
+    assert counts["step"] == steps
+    assert counts["score_actions"] == steps + len(stats)
+    assert counts["double_q_update"] == steps
+    assert counts["available_actions"] == counts["score_actions"]
+    assert 0 < counts["equity"] <= counts["scored"]
+
+    counts.clear()
+    traj, _ = run_episode(LocalPolicy(), env, evaluation_initial(config),
+                          config.eval.epsilon_eval, config.hyper.tau)
+    assert traj.length > 0
+    assert counts["step"] == counts["score_actions"] == traj.length
+    assert counts["available_actions"] == counts["score_actions"]
+    assert 0 < counts["equity"] <= counts["scored"]

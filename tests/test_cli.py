@@ -18,6 +18,8 @@ from equiflow import (
 from equiflow.cli import main
 from equiflow.config import config_from_dict, config_to_dict, default_config, dump_config
 
+from helpers import road_graphs
+
 
 @pytest.fixture()
 def quick_config_path(tmp_path):
@@ -56,21 +58,6 @@ def test_dump_config_roundtrip(capsys):
 
 FINITE = st.floats(0.0, 1e6)
 RATE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-
-
-@st.composite
-def road_graphs(draw):
-    """Village count and edges of a map where every village is reachable from
-    the source and can return to it: village v has a road in from, and a road
-    out to, the source or an earlier village, plus any extra roads."""
-    n = draw(st.integers(1, 6))
-    edges = set()
-    for v in range(n):
-        edges.add((draw(st.integers(-1, v - 1)), v))
-        edges.add((v, draw(st.integers(-1, v - 1))))
-    nodes = st.integers(-1, n - 1)
-    extra = draw(st.lists(st.tuples(nodes, nodes).filter(lambda e: e[0] != e[1]), max_size=8))
-    return n, edges | set(extra)
 
 
 @st.composite

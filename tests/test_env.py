@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiflow import (
     SOURCE,
@@ -14,6 +16,7 @@ from equiflow import (
     IllegalActionError,
     InvalidStateError,
     LocalPolicy,
+    RandomReset,
     RoadNetwork,
     VillageSpec,
     WorldState,
@@ -21,8 +24,10 @@ from equiflow import (
     consume,
     predict_transition,
     run_episode,
+    score_actions,
 )
-from helpers import random_legal_action
+from equiflow.env import successors
+from helpers import random_legal_action, random_walk_states, reference_transition, road_graphs
 
 QUANTA = (0, 15000, 30000, 45000, 60000)
 
@@ -173,9 +178,11 @@ def test_step_matches_predict_transition_bit_exactly(env_cfg):
         if ep.done:
             s = ep.reset()
         a = random_legal_action(s, env_cfg, rng)
-        expected = predict_transition(s, a, env_cfg)
+        expected = reference_transition(s, a, env_cfg)
+        assert predict_transition(s, a, env_cfg) == expected
         out = ep.step(a)
         assert out.next_state == expected
+        assert out.reward == env_cfg.equity_of(expected.levels)
         s = out.next_state
 
 
@@ -299,3 +306,123 @@ def test_network_requires_matching_villages(env_cfg):
     network = RoadNetwork.from_edges([(SOURCE, 0), (0, SOURCE)], [0])
     with pytest.raises(ConfigurationError):
         EnvConfig(villages=env_cfg.villages, network=network)
+
+
+# ---------------------------------------------------------------------------
+# Successor kernel: one pass per state, memoised for the last state object
+
+def assert_kernel_matches_reference(config, states):
+    for s in states:
+        table = successors(s, config)
+        assert list(table) == list(available_actions(s, config))
+        for action, (nxt, score) in table.items():
+            expected = reference_transition(s, action, config)
+            assert nxt == expected  # bit-equal, not approximately equal
+            assert score == config.equity_of(expected.levels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_kernel_matches_reference_on_default_map(env_cfg, seed):
+    assert_kernel_matches_reference(env_cfg, random_walk_states(env_cfg, seed, 200))
+
+
+@st.composite
+def random_worlds(draw):
+    n, edges = draw(road_graphs())
+    rates, thresholds = st.floats(0.0, 50.0), st.floats(0.0, 600.0)
+    villages = tuple(
+        VillageSpec(i, draw(st.integers(1, 5000)), draw(rates), draw(rates), draw(thresholds))
+        for i in range(n)
+    )
+    quantum = draw(st.integers(1, 20_000))
+    env = EnvConfig(
+        villages=villages,
+        network=RoadNetwork.from_edges(edges, range(n)),
+        capacity=quantum * draw(st.integers(1, 6)),
+        delivery_quantum=quantum,
+        total_to_distribute=draw(st.integers(1, 10**6)),
+        reset_mode=RandomReset(0.0, draw(st.floats(0.0, 1e4))),
+    )
+    return env, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_worlds())
+def test_kernel_matches_reference_over_random_road_graphs(world):
+    env, seed = world
+    assert_kernel_matches_reference(env, random_walk_states(env, seed, 80))
+
+
+def test_alternating_episodes_on_one_config_step_their_own_states(env_cfg):
+    rng = random.Random(8)
+    episodes = [Episode(env_cfg, seed=1), Episode(env_cfg, seed=2)]
+    for ep in episodes:
+        ep.reset()
+    for _ in range(300):
+        for ep in episodes:
+            if ep.done:
+                ep.reset()
+        # Score both, so that each step finds the other episode's table memoised.
+        for ep in episodes:
+            score_actions(ep.state, env_cfg)
+        for ep in episodes:
+            s = ep.state
+            a = random_legal_action(s, env_cfg, rng)
+            expected = reference_transition(s, a, env_cfg)
+            out = ep.step(a)
+            assert out.next_state == expected
+            assert out.reward == env_cfg.equity_of(expected.levels)
+
+
+def test_step_after_scoring_another_state(env_cfg):
+    ep = Episode(env_cfg)
+    y = ep.reset_to(state((0, 300, 200, 200)))
+    score_actions(state((100, 100, 100, 100)), env_cfg)  # same actions, other levels
+    out = ep.step(Action(1, 30000))
+    expected = reference_transition(y, Action(1, 30000), env_cfg)
+    assert out.next_state == expected
+    assert out.reward == env_cfg.equity_of(expected.levels)
+
+
+def test_equal_but_distinct_state_is_expanded_afresh(env_cfg):
+    x = state((0, 300, 200, 200))
+    twin = x._replace(levels=tuple(list(x.levels)))
+    assert twin == x and twin.levels is not x.levels
+    first = successors(x, env_cfg)
+    second = successors(twin, env_cfg)
+    assert second is not first  # keyed on the state object, not on equality
+    assert second == first
+    # A state freed before the next one is made usually leaves it its id.
+    rng = random.Random(4)
+    for _ in range(200):
+        s = state([rng.uniform(0.0, 600.0) for _ in range(4)])
+        expected = reference_transition(s, Action(1, 15000), env_cfg)
+        assert predict_transition(s, Action(1, 15000), env_cfg) == expected
+        del s
+
+
+def test_illegal_action_after_memo_hit_raises(env_cfg):
+    ep = Episode(env_cfg)
+    s = ep.reset_to(state((0, 300, 200, 200)))
+    # The refill is legal for an empty truck at village 3, not for a full one.
+    score_actions(state((0, 300, 200, 200), position=3, load=0), env_cfg)
+    score_actions(s, env_cfg)
+    predict_transition(s, Action(1, 0), env_cfg)  # served from the memo
+    with pytest.raises(IllegalActionError):
+        predict_transition(s, Action(2, 15000), env_cfg)
+    with pytest.raises(IllegalActionError):
+        ep.step(Action(SOURCE, 0))
+    assert ep.state is s
+
+
+def test_list_levels_are_rejected(env_cfg):
+    bad = WorldState([0.0, 300.0, 200.0, 200.0], SOURCE, 60000, 0)
+    with pytest.raises(InvalidStateError):
+        available_actions(bad, env_cfg)
+    with pytest.raises(InvalidStateError):
+        score_actions(bad, env_cfg)
+    with pytest.raises(InvalidStateError):
+        predict_transition(bad, Action(1, 0), env_cfg)
+    with pytest.raises(InvalidStateError):
+        Episode(env_cfg).reset_to(bad)
