@@ -61,7 +61,11 @@ class RunMetrics:
 
 
 class Policy(Protocol):
-    """Picks one action of the (non-empty) epsilon-admissible set of ``state``."""
+    """Picks one action of the (non-empty) epsilon-admissible set of ``state``.
+
+    ``choose`` must be a function of its inputs: ``run_episode`` stops a
+    rollout that revisits a state, since such a rollout can never finish.
+    """
 
     name: str
 
@@ -96,7 +100,10 @@ def run_episode(
     tau: float,
     max_steps: int = 100_000,
 ) -> tuple[Trajectory, RunMetrics]:
-    """Roll the policy greedily from ``initial`` until the budget is delivered."""
+    """Roll the policy greedily from ``initial`` until the budget is delivered.
+
+    Raises RuntimeError if the rollout revisits a state or exceeds ``max_steps``.
+    """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
     if not 0.0 < tau < 1.0:
@@ -104,9 +111,22 @@ def run_episode(
     episode = Episode(config)
     state = episode.reset_to(initial)
     traj = Trajectory(initial=initial, actions=[], rewards=[], violations=[], states=[])
+    # Every state after a delivery differs from those before it, since its
+    # distributed_total does; only the states since the last delivery can recur.
+    seen: set[WorldState] = set()
+    delivered = state.distributed_total
     while not episode.done:
         if traj.length >= max_steps:
             raise RuntimeError(f"episode exceeded {max_steps} steps without finishing")
+        if state.distributed_total != delivered:
+            delivered = state.distributed_total
+            seen.clear()
+        elif state in seen:
+            raise RuntimeError(
+                f"policy {policy.name} revisited a state at step {traj.length}; "
+                "the rollout would never finish"
+            )
+        seen.add(state)
         admissible = admissible_from(score_actions(state, config), epsilon_eval)
         action = policy.choose(state, admissible)
         if not any(sa.action == action for sa in admissible):

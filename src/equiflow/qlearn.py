@@ -358,18 +358,19 @@ def _train(
 # Persistence
 
 _FORMAT = "equiflow-qmodel"
-_VERSION = 1
+_VERSION = 2
 
 
 def _encode_state_key(key: LevelisedState) -> str:
-    return f"{','.join(str(b) for b in key.levels)}|{key.position}|{key.load}"
+    return f"{','.join(map(str, key.levels))}|{key.position}|{key.load}"
 
 
 def _decode_state_key(text: str) -> LevelisedState:
-    bands, position, load = text.split("|")
-    return LevelisedState(
-        tuple(int(b) for b in bands.split(",")), int(position), int(load)
-    )
+    try:
+        bands, position, load = text.split("|")
+        return LevelisedState(tuple(map(int, bands.split(","))), int(position), int(load))
+    except ValueError:
+        raise ValueError(f"malformed state key {text!r}") from None
 
 
 def _encode_action(action: Action) -> str:
@@ -377,20 +378,48 @@ def _encode_action(action: Action) -> str:
 
 
 def _decode_action(text: str) -> Action:
-    dest, dispense = text.split(",")
-    return Action(int(dest), int(dispense))
+    try:
+        dest, dispense = text.split(",")
+        return Action(int(dest), int(dispense))
+    except ValueError:
+        raise ValueError(f"malformed action key {text!r}") from None
 
 
-def _table_to_rows(table: dict) -> list[list]:
-    rows = [
-        [_encode_state_key(key), _encode_action(action), value]
-        for (key, action), value in table.items()
-    ]
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return rows
+def _table_to_groups(table: dict) -> dict[str, dict[str, float]]:
+    """Version-2 layout: {state key: {action: value}}, both levels sorted as strings."""
+    by_key: dict[Hashable, dict[str, float]] = {}
+    for (key, action), value in table.items():
+        by_key.setdefault(key, {})[_encode_action(action)] = value
+    groups = {_encode_state_key(key): row for key, row in by_key.items()}
+    return {text: dict(sorted(groups[text].items())) for text in sorted(groups)}
+
+
+def _groups_to_table(groups: object) -> dict:
+    """Read the version-2 layout written by ``_table_to_groups``."""
+    if not isinstance(groups, dict):
+        raise ValueError(f"expected a JSON object, got {type(groups).__name__}")
+    actions: dict[str, Action] = {}  # one Action per distinct key, shared by its entries
+    table = {}
+    for text, row in groups.items():
+        key = _decode_state_key(text)
+        try:
+            if not isinstance(row, dict):
+                raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+            for action_text, value in row.items():
+                action = actions.get(action_text)
+                if action is None:
+                    action = actions[action_text] = _decode_action(action_text)
+                try:
+                    table[key, action] = as_float(value)
+                except ValueError as exc:
+                    raise ValueError(f"action {action_text!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"state {text!r}: {exc}") from exc
+    return table
 
 
 def _rows_to_table(rows: list) -> dict:
+    """Read the version-1 layout: a list of [state key, action, value] rows."""
     return {
         (_decode_state_key(key), _decode_action(action)): as_float(value)
         for key, action, value in rows
@@ -468,13 +497,14 @@ def hyper_from_dict(data: object) -> Hyperparams:
 
 
 _MODEL_FIELDS = {"format": as_str, "version": as_int, "kind": as_str, "hyper": hyper_from_dict,
-                 "avg_reward": as_float, "qa": _rows_to_table, "qb": _rows_to_table,
+                 "avg_reward": as_float,
                  "lagrange": lambda data: None if data is None
                  else LagrangeState(**read_fields(data, _LAGRANGE_FIELDS, "lagrange"))}
+_TABLE_READERS = {1: _rows_to_table, 2: _groups_to_table}  # by model file version
 
 
 def save_model(model: QModel, path: str | Path) -> None:
-    """Write the model as JSON; loading reproduces evaluation bit-exactly."""
+    """Write the model as compact version-2 JSON; loading reproduces evaluation bit-exactly."""
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -482,10 +512,10 @@ def save_model(model: QModel, path: str | Path) -> None:
         "hyper": asdict(model.hyper),
         "avg_reward": model.avg_reward,
         "lagrange": None if model.lagrange is None else asdict(model.lagrange),
-        "qa": _table_to_rows(model.qa),
-        "qb": _table_to_rows(model.qb),
+        "qa": _table_to_groups(model.qa),
+        "qb": _table_to_groups(model.qb),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 @contextmanager
@@ -500,12 +530,17 @@ def reporting_malformed(path: str | Path) -> Iterator[None]:
 
 
 def load_model(path: str | Path) -> QModel:
+    """Read a model file of any version in ``_TABLE_READERS``."""
     with reporting_malformed(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        header = (doc.get("format"), doc.get("version")) if isinstance(doc, dict) else None
-        if header != (_FORMAT, _VERSION):
+        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
             raise ValueError("not a recognised model file")
-        fields = read_fields(doc, _MODEL_FIELDS)
+        version = doc.get("version")
+        read_table = _TABLE_READERS.get(version) if type(version) is int else None
+        if read_table is None:
+            raise ValueError(f"model file version {version!r} is not supported; "
+                             f"this build reads versions {sorted(_TABLE_READERS)}")
+        fields = read_fields(doc, {**_MODEL_FIELDS, "qa": read_table, "qb": read_table})
     model = QModel(fields["hyper"], kind=fields["kind"])
     model.avg_reward, model.lagrange = fields["avg_reward"], fields["lagrange"]
     model.qa, model.qb = fields["qa"], fields["qb"]

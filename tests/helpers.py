@@ -5,7 +5,10 @@ that agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -126,3 +129,30 @@ def road_graphs(draw):
     nodes = st.integers(-1, n - 1)
     extra = draw(st.lists(st.tuples(nodes, nodes).filter(lambda e: e[0] != e[1]), max_size=8))
     return n, edges | set(extra)
+
+
+def write_v1_model(model, path) -> None:
+    """Write ``model`` in the version-1 model file layout, as earlier releases did:
+    one ``[state key, action, value]`` row per Q-table entry, rows sorted by
+    their two keys as strings, the document indented by one space."""
+
+    def rows(table):
+        out = [
+            [f"{','.join(str(b) for b in key.levels)}|{key.position}|{key.load}",
+             f"{action.destination},{action.dispense}", value]
+            for (key, action), value in table.items()
+        ]
+        out.sort(key=lambda row: (row[0], row[1]))
+        return out
+
+    doc = {
+        "format": "equiflow-qmodel",
+        "version": 1,
+        "kind": model.kind,
+        "hyper": asdict(model.hyper),
+        "avg_reward": model.avg_reward,
+        "lagrange": None if model.lagrange is None else asdict(model.lagrange),
+        "qa": rows(model.qa),
+        "qb": rows(model.qb),
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -250,7 +250,32 @@ def unknown_lagrange_key(doc):
     return "lagrange: unknown keys ['lamda']"
 
 
-@pytest.mark.parametrize("mutate", [unknown_model_key, unknown_lagrange_key])
+def state_group_as_list(doc):
+    state = next(iter(doc["qa"]))
+    doc["qa"][state] = list(doc["qa"][state].items())
+    return f"qa: state {state!r}: expected a JSON object, got list"
+
+
+def malformed_action_key(doc):
+    state, row = next(iter(doc["qa"].items()))
+    row["1;0"] = row.pop(next(iter(row)))
+    return f"qa: state {state!r}: malformed action key '1;0'"
+
+
+def non_numeric_value(doc):
+    state, row = next(iter(doc["qa"].items()))
+    action = next(iter(row))
+    row[action] = "x"
+    return f"qa: state {state!r}: action {action!r}: expected a number, got 'x'"
+
+
+def unknown_version(doc):
+    doc["version"] = 3
+    return "model file version 3 is not supported; this build reads versions [1, 2]"
+
+
+@pytest.mark.parametrize("mutate", [unknown_model_key, unknown_lagrange_key, state_group_as_list,
+                                    malformed_action_key, non_numeric_value, unknown_version])
 def test_model_with_unknown_key_is_a_clean_error(tmp_path, quick_config_path, capsys, mutate):
     data = json.loads(quick_config_path.read_text())
     data["policy_kind"] = "ecadql"  # a model with a Lagrange block

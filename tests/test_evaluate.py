@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -101,16 +102,27 @@ def test_model_policy_actions_are_admissible(quick_env):
         state = episode.step(action).next_state
 
 
+class Loiter:
+    """Moves without dispensing whenever it can, so the episode never ends."""
+
+    name = "loiter"
+
+    def choose(self, state, admissible):
+        free = [sa.action for sa in admissible if sa.action.dispense == 0]
+        return free[0] if free else admissible[0].action
+
+
 def test_run_episode_guards_against_stalls(quick_env):
-    class Loiter:
-        name = "loiter"
-
-        def choose(self, state, admissible):
-            free = [sa.action for sa in admissible if sa.action.dispense == 0]
-            return free[0] if free else admissible[0].action
-
     with pytest.raises(RuntimeError):
         run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7, max_steps=500)
+
+
+def test_run_episode_stops_a_cycling_policy_at_the_first_revisit(quick_env):
+    # Without the revisit check this rollout runs to the default step cap.
+    with pytest.raises(RuntimeError, match=r"policy loiter revisited a state at step \d+") as info:
+        run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7)
+    step = int(re.search(r"step (\d+)", str(info.value)).group(1))
+    assert step < 500
 
 
 def test_run_episode_rejects_inadmissible_choice(quick_env):

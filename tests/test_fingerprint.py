@@ -7,6 +7,10 @@ calls the CLI uses, as is the ``dump-config`` text of the default config.
 Any change to dynamics, scoring, admissibility, the double-Q update, the
 Lagrange update, evaluation or serialisation changes at least one digest;
 such a change must be deliberate and noted.
+
+The models are also written through ``helpers.write_v1_model``, the
+version-1 layout earlier releases wrote: those digests predate the
+version-2 format and show that its Q-tables are the same.
 """
 import hashlib
 from dataclasses import replace
@@ -18,14 +22,18 @@ from equiflow.config import default_config, dump_config, evaluation_env, evaluat
 from equiflow.evaluate import write_compare_series_csv, write_series_csv
 from equiflow.qlearn import save_model, train_eadql, train_ecadql
 
+from helpers import write_v1_model
+
 EPISODES = 50
 AGGREGATE_RUNS = 20
 AGGREGATE_EPS = 0.01
 
 GOLDEN = {
     "config.json": "202261738400b337b68cd7b9a308e7b930a392951ec8b022d2c25fd2ebccec64",
-    "eadql.json": "ffa562d4a15bfaa0cdd2cc4b6de41b8cfe0ce73810ccbe47de7a28d97a00939f",
-    "ecadql.json": "7becc7d90bee5e9cea52d821183c8218c2f61a47cadb7e9bd6af3d242f454b58",
+    "eadql.json": "c8b145588ef52634c962ba1b5e583b4c7080b931979f4ceefadba26a16c32115",
+    "ecadql.json": "7aef9f03701e65b49360b58fb4e459f44dcd094df72bd46968eb518ba7f2b50d",
+    "eadql.v1.json": "ffa562d4a15bfaa0cdd2cc4b6de41b8cfe0ce73810ccbe47de7a28d97a00939f",
+    "ecadql.v1.json": "7becc7d90bee5e9cea52d821183c8218c2f61a47cadb7e9bd6af3d242f454b58",
     "series_local.csv": "4548b2df450bea26ac79e98d2da064013f74c02d99012d3e3c968336bb7b6567",
     "series_eadql.csv": "7998e437614edb314959bf1b54ab426dadc51aa98196ce350ca9942dc440ac1a",
     "series_ecadql.csv": "6450feadb87dddd0c661b879bb13630e15db3ba6c8f460d4077ea5d904259b54",
@@ -48,6 +56,7 @@ def digests(tmp_path_factory):
         model = trainer(cfg.env, hyper, cfg.seed)
         model.kind = kind  # as ``equiflow train`` labels the model
         save_model(model, out / f"{kind}.json")
+        write_v1_model(model, out / f"{kind}.v1.json")
         policies.append(ModelPolicy(model))
 
     env, initial = evaluation_env(cfg), evaluation_initial(cfg)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from equiflow import (
 )
 from equiflow.qlearn import _argmax_q, _encode_action, _encode_state_key
 
-from helpers import optimal_average_reward, random_walk_states
+from helpers import optimal_average_reward, random_walk_states, write_v1_model
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
 
@@ -362,6 +363,23 @@ def test_model_roundtrip(fast_env, tmp_path):
     assert loaded.hyper == model.hyper
     assert loaded.lagrange == model.lagrange
     assert loaded.kind == model.kind
+
+
+def test_version_1_model_file_still_loads(fast_env, tmp_path):
+    model = train_ecadql(fast_env, tiny_hyper(episodes=8, tau=0.85), seed=13)
+    write_v1_model(model, tmp_path / "v1.json")
+    loaded = load_model(tmp_path / "v1.json")
+    assert loaded.qa == model.qa
+    assert loaded.qb == model.qb
+    assert loaded.avg_reward == model.avg_reward
+    assert loaded.hyper == model.hyper
+    assert loaded.lagrange == model.lagrange
+    assert loaded.kind == model.kind
+    save_model(loaded, tmp_path / "v2.json")
+    assert json.loads((tmp_path / "v2.json").read_text())["version"] == 2
+    resaved = load_model(tmp_path / "v2.json")
+    assert resaved.qa == model.qa
+    assert resaved.qb == model.qb
 
 
 def test_model_file_is_deterministic(fast_env, tmp_path):
