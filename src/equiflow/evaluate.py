@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 from .admissible import ScoredAction, admissible_from, best_scored, is_violation, score_actions
 from .env import Action, EnvConfig, Episode, WorldState
-from .qlearn import QModel, _argmax_q
+from .qlearn import QModel, _argmax_q, levelise
 
 __all__ = [
     "Trajectory",
@@ -89,7 +89,8 @@ class ModelPolicy:
         self.name = name if name is not None else model.kind
 
     def choose(self, state: WorldState, admissible: Sequence[ScoredAction]) -> Action:
-        return _argmax_q(self.model, self.model.state_key(state), [sa.action for sa in admissible])
+        return _argmax_q(self.model, levelise(state, self.model.hyper.levels),
+                         [sa.action for sa in admissible])
 
 
 def run_episode(

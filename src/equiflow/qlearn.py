@@ -170,27 +170,24 @@ def lagrange_update(
 
 
 class QModel:
-    """Two lazily grown Q-tables plus the average-reward estimate."""
+    """Average-reward estimate and two lazily grown Q-tables, each {state key: {action: value}}."""
 
     def __init__(self, hyper: Hyperparams, kind: str = "eadql") -> None:
         self.hyper = hyper
         self.kind = kind
-        self.qa: dict[tuple[Hashable, Action], float] = {}
-        self.qb: dict[tuple[Hashable, Action], float] = {}
+        self.qa: dict[Hashable, dict[Action, float]] = {}
+        self.qb: dict[Hashable, dict[Action, float]] = {}
         self.avg_reward = 0.0
         self.lagrange: LagrangeState | None = None
-
-    def state_key(self, state: WorldState) -> LevelisedState:
-        return levelise(state, self.hyper.levels)
 
 
 def _argmax_q(model: QModel, key: Hashable, actions: Sequence[Action]) -> Action:
     """First action maximizing qa+qb, in the given deterministic order."""
-    qa, qb = model.qa, model.qb
+    row_a, row_b = model.qa.get(key, {}), model.qb.get(key, {})
     best_action = actions[0]
-    best_value = qa.get((key, best_action), 0.0) + qb.get((key, best_action), 0.0)
+    best_value = row_a.get(best_action, 0.0) + row_b.get(best_action, 0.0)
     for a in actions[1:]:
-        v = qa.get((key, a), 0.0) + qb.get((key, a), 0.0)
+        v = row_a.get(a, 0.0) + row_b.get(a, 0.0)
         if v > best_value:
             best_value = v
             best_action = a
@@ -214,21 +211,21 @@ def double_q_update(
     """
     if not next_actions:
         raise ValueError("next_actions must not be empty")
-    if rng.random() < 0.5:
-        q_upd, q_sel = model.qa, model.qb
-    else:
-        q_upd, q_sel = model.qb, model.qa
+    q_upd, q_sel = (model.qa, model.qb) if rng.random() < 0.5 else (model.qb, model.qa)
+    next_row = q_sel.get(next_key, {})
     best = -math.inf
     for a in next_actions:
-        v = q_sel.get((next_key, a), 0.0)
+        v = next_row.get(a, 0.0)
         if v > best:
             best = v
-    k = (key, action)
-    current = q_upd.get(k, 0.0)
+    row = q_upd.get(key)
+    current = 0.0 if row is None else row.get(action, 0.0)
     delta = reward - model.avg_reward + best - current
     if delta != 0.0:
         model.avg_reward += model.hyper.beta * delta
-        q_upd[k] = current + model.hyper.alpha * delta
+        if row is None:
+            row = q_upd[key] = {}
+        row[action] = current + model.hyper.alpha * delta
     return delta
 
 
@@ -387,11 +384,9 @@ def _decode_action(text: str) -> Action:
 
 def _table_to_groups(table: dict) -> dict[str, dict[str, float]]:
     """Version-2 layout: {state key: {action: value}}, both levels sorted as strings."""
-    by_key: dict[Hashable, dict[str, float]] = {}
-    for (key, action), value in table.items():
-        by_key.setdefault(key, {})[_encode_action(action)] = value
-    groups = {_encode_state_key(key): row for key, row in by_key.items()}
-    return {text: dict(sorted(groups[text].items())) for text in sorted(groups)}
+    rows = {_encode_state_key(key): row for key, row in table.items()}
+    return {text: dict(sorted((_encode_action(a), v) for a, v in rows[text].items()))
+            for text in sorted(rows)}
 
 
 def _groups_to_table(groups: object) -> dict:
@@ -401,7 +396,7 @@ def _groups_to_table(groups: object) -> dict:
     actions: dict[str, Action] = {}  # one Action per distinct key, shared by its entries
     table = {}
     for text, row in groups.items():
-        key = _decode_state_key(text)
+        decoded = table.setdefault(_decode_state_key(text), {})
         try:
             if not isinstance(row, dict):
                 raise ValueError(f"expected a JSON object, got {type(row).__name__}")
@@ -410,7 +405,7 @@ def _groups_to_table(groups: object) -> dict:
                 if action is None:
                     action = actions[action_text] = _decode_action(action_text)
                 try:
-                    table[key, action] = as_float(value)
+                    decoded[action] = as_float(value)
                 except ValueError as exc:
                     raise ValueError(f"action {action_text!r}: {exc}") from exc
         except ValueError as exc:
@@ -420,10 +415,10 @@ def _groups_to_table(groups: object) -> dict:
 
 def _rows_to_table(rows: list) -> dict:
     """Read the version-1 layout: a list of [state key, action, value] rows."""
-    return {
-        (_decode_state_key(key), _decode_action(action)): as_float(value)
-        for key, action, value in rows
-    }
+    groups: dict = {}
+    for key, action, value in rows:
+        groups.setdefault(key, {})[action] = value
+    return _groups_to_table(groups)
 
 
 class KeyPathError(ConfigurationError):
@@ -471,7 +466,9 @@ def as_int(value: object) -> int:
 
 def as_float(value: object) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        if math.isfinite(value):
+            return float(value)
+        raise ValueError(f"expected a finite number, got {value!r}")
     raise ValueError(f"expected a number, got {value!r}")
 
 

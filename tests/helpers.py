@@ -140,7 +140,8 @@ def write_v1_model(model, path) -> None:
         out = [
             [f"{','.join(str(b) for b in key.levels)}|{key.position}|{key.load}",
              f"{action.destination},{action.dispense}", value]
-            for (key, action), value in table.items()
+            for key, entries in table.items()
+            for action, value in entries.items()
         ]
         out.sort(key=lambda row: (row[0], row[1]))
         return out

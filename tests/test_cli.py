@@ -269,13 +269,31 @@ def non_numeric_value(doc):
     return f"qa: state {state!r}: action {action!r}: expected a number, got 'x'"
 
 
+def nan_q_value(doc):
+    state, row = next(iter(doc["qa"].items()))
+    action = next(iter(row))
+    row[action] = float("nan")
+    return f"qa: state {state!r}: action {action!r}: expected a finite number, got nan"
+
+
+def infinite_avg_reward(doc):
+    doc["avg_reward"] = float("inf")
+    return "avg_reward: expected a finite number, got inf"
+
+
+def nan_reward_estimate(doc):
+    doc["lagrange"]["reward_estimate"] = float("nan")
+    return "lagrange.reward_estimate: expected a finite number, got nan"
+
+
 def unknown_version(doc):
     doc["version"] = 3
     return "model file version 3 is not supported; this build reads versions [1, 2]"
 
 
 @pytest.mark.parametrize("mutate", [unknown_model_key, unknown_lagrange_key, state_group_as_list,
-                                    malformed_action_key, non_numeric_value, unknown_version])
+                                    malformed_action_key, non_numeric_value, nan_q_value,
+                                    infinite_avg_reward, nan_reward_estimate, unknown_version])
 def test_model_with_unknown_key_is_a_clean_error(tmp_path, quick_config_path, capsys, mutate):
     data = json.loads(quick_config_path.read_text())
     data["policy_kind"] = "ecadql"  # a model with a Lagrange block

@@ -114,26 +114,26 @@ def test_update_hand_arithmetic_on_fresh_model():
     delta = double_q_update(model, "s", "a", "s2", ["a", "b"], 0.8, _CoinRng([0.0]))
     assert delta == 0.8
     assert model.avg_reward == pytest.approx(0.008, abs=1e-15)
-    assert model.qa[("s", "a")] == pytest.approx(0.024, abs=1e-15)
-    assert ("s", "a") not in model.qb
+    assert model.qa["s"]["a"] == pytest.approx(0.024, abs=1e-15)
+    assert model.qb == {}
 
 
 def test_update_targets_companion_table():
     model = QModel(Hyperparams())
-    model.qb[("s2", "b")] = 1.0
-    model.qa[("s2", "b")] = -5.0  # must be ignored when qa is updated
+    model.qb["s2"] = {"b": 1.0}
+    model.qa["s2"] = {"b": -5.0}  # must be ignored when qa is updated
     delta = double_q_update(model, "s", "a", "s2", ["a", "b"], 0.5, _CoinRng([0.0]))
     assert delta == pytest.approx(0.5 + 1.0, abs=1e-15)
     # Coin >= 0.5 updates qb and bootstraps from qa, whose best entry is 0.
     avg_before = model.avg_reward
-    qb_before = model.qb.get(("s", "a"), 0.0)
+    qb_before = model.qb.get("s", {}).get("a", 0.0)
     delta_b = double_q_update(model, "s", "a", "s2", ["a", "b"], 0.5, _CoinRng([0.9]))
     assert delta_b == pytest.approx(0.5 - avg_before + 0.0 - qb_before, abs=1e-15)
 
 
 def test_update_restricts_bootstrap_to_given_actions():
     model = QModel(Hyperparams())
-    model.qb[("s2", "big")] = 9.0
+    model.qb["s2"] = {"big": 9.0}
     delta = double_q_update(model, "s", "a", "s2", ["small"], 0.0, _CoinRng([0.0]))
     assert delta == 0.0  # the 9.0 entry is outside the admissible set
 
@@ -143,7 +143,7 @@ def test_zero_delta_changes_nothing():
     delta = double_q_update(model, "s", "a", "s2", ["a"], 0.0, _CoinRng([0.0]))
     assert delta == 0.0
     assert model.avg_reward == 0.0
-    assert model.qa.get(("s", "a"), 0.0) == 0.0
+    assert model.qa == {} and model.qb == {}  # no row is created without a write
 
 
 def test_update_requires_bootstrap_candidates():
@@ -203,14 +203,17 @@ def test_constant_q_shift_leaves_choice_unchanged(env_cfg):
     model = QModel(Hyperparams())
     policy = ModelPolicy(model)
     rng = random.Random(4)
-    key = model.state_key(EVAL_START)
+    key = levelise(EVAL_START, model.hyper.levels)
     admitted = admissible_at_start(env_cfg, 0.1)
+    row_a = model.qa[key] = {}
+    row_b = model.qb[key] = {}
     for sa in admitted:
-        model.qa[(key, sa.action)] = rng.uniform(-1, 1)
-        model.qb[(key, sa.action)] = rng.uniform(-1, 1)
+        row_a[sa.action] = rng.uniform(-1, 1)
+        row_b[sa.action] = rng.uniform(-1, 1)
     before = policy.choose(EVAL_START, admitted)
+    assert before != admitted[0].action  # the rows are read, not defaulted to 0
     for sa in admitted:
-        model.qa[(key, sa.action)] += 3.7
+        row_a[sa.action] += 3.7
     assert policy.choose(EVAL_START, admitted) == before
 
 
