@@ -289,6 +289,9 @@ def _train(
     tau = hyper.tau
     n_episodes = hyper.episodes
     key_params = hyper.levels
+    # Training episodes on the shipped and bench maps stay under 300 steps; only
+    # a policy that keeps moving water nowhere reaches a thousand per quantum.
+    max_steps = 1000 * -(-config.total_to_distribute // config.delivery_quantum)
 
     for o in range(n_episodes):
         p = hyper.p0 * (1.0 - o / n_episodes)
@@ -301,6 +304,10 @@ def _train(
         raw_sum = 0.0
         violations = 0
         while not episode.done:
+            if steps >= max_steps:
+                raise RuntimeError(
+                    f"training episode {o} exceeded {max_steps} steps without finishing"
+                )
             if p > 0.0 and rng.random() < p:
                 pool = adm if hyper.explore_admissible_only else scored
                 action = pool[rng.randrange(len(pool))].action

@@ -28,6 +28,23 @@ def expanded_gini_rank(values, weights) -> float:
     return float((2.0 * np.dot(ranks, s) - (n + 1) * total) / (n * total))
 
 
+def reference_equity(values, weights) -> float:
+    """One minus the weighted Gini as a plain loop, in the order the library's
+    scorer must keep: village terms in village order, then pairs ``(i, j)``
+    with ``i < j`` in lexicographic order.  The scorer must equal it bit for bit."""
+    weighted_total = 0.0
+    for w, v in zip(weights, values):
+        weighted_total += w * v
+    if weighted_total == 0.0:
+        return 0.0
+    spread = 0.0
+    for i in range(len(weights)):
+        for j in range(i + 1, len(weights)):
+            diff = values[i] - values[j]
+            spread += weights[i] * weights[j] * (diff if diff >= 0.0 else -diff)
+    return 1.0 - spread / (sum(weights) * weighted_total)
+
+
 def expanded_gini_pairwise(values, weights) -> float:
     """Literal O(n^2) mean-absolute-difference Gini over the expanded list."""
     person = []

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from equiflow import make_equity_scorer
 
-from helpers import expanded_gini_pairwise, expanded_gini_rank
+from helpers import expanded_gini_pairwise, expanded_gini_rank, reference_equity
 
 POPULATIONS = (25, 260, 1000, 1050)
 
@@ -84,6 +85,43 @@ def test_scorer_matches_gini_bit_exactly(env_cfg):
     for _ in range(200):
         values = tuple(rng.uniform(0.0, 600.0) for _ in range(4))
         assert scorer(values) == env_cfg.equity_of(values)
+        assert reference_equity(values, POPULATIONS) == env_cfg.equity_of(values)
+
+
+# Levels from zero through the subnormals to well above any reachable level.
+levels = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308), st.floats(0.0, 1e6))
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_compiled_scorer_equals_reference_loop_bit_for_bit(data):
+    # Populations up to 2**40 make pair products that float() must round.
+    weights = data.draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=12))
+    n = len(weights)
+    values = data.draw(st.one_of(st.lists(levels, min_size=n, max_size=n), st.just([0.0] * n)))
+    assert make_equity_scorer(weights)(tuple(values)) == reference_equity(values, weights)
+
+
+def test_compiled_scorer_equals_reference_loop_on_seeded_sweep():
+    rng = random.Random(17)
+    for n in range(1, 13):
+        for _ in range(20):
+            weights = tuple(rng.randint(1, 2000) for _ in range(n))
+            scorer = make_equity_scorer(weights)
+            for _ in range(20):
+                values = tuple(rng.choice([0.0, rng.uniform(0.0, 600.0)]) for _ in range(n))
+                assert scorer(values) == reference_equity(values, weights)
+
+
+def test_two_hundred_village_scorer_builds_fast_and_matches_reference():
+    # 19,900 pair statements: the source must stay one statement per term.
+    rng = random.Random(23)
+    weights = tuple(rng.randint(1, 5000) for _ in range(200))
+    start = time.perf_counter()
+    scorer = make_equity_scorer(weights)
+    assert time.perf_counter() - start < 1.0
+    for values in ([0.0] * 200, [1.0] * 200, [rng.uniform(0.0, 600.0) for _ in range(200)]):
+        assert scorer(tuple(values)) == reference_equity(values, weights)
 
 
 @given(
@@ -142,3 +180,10 @@ def test_validation_rejects_bad_distributions():
         make_equity_scorer((0,))
     with pytest.raises(ValueError):
         make_equity_scorer((5, -1))
+    with pytest.raises(ValueError):
+        make_equity_scorer(())
+    scorer = make_equity_scorer(POPULATIONS)
+    with pytest.raises(ValueError):
+        scorer((0.0, 300.0, 200.0, 200.0, 50.0, 60.0))
+    with pytest.raises(ValueError):
+        scorer((0.0, 300.0, 200.0))

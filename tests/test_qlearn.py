@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from equiflow import (
     train_eadql,
     train_ecadql,
 )
+from equiflow import qlearn
 from equiflow.qlearn import _argmax_q, _encode_action, _encode_state_key
 
 from helpers import optimal_average_reward, random_walk_states, write_v1_model
@@ -350,6 +352,22 @@ def test_constrained_training_tracks_lagrange_history(fast_env):
             assert s.lam >= prev - 1e-15
         prev = s.lam
     assert model.lagrange.lam == stats[-1].lam
+
+
+def test_training_episode_that_never_delivers_stops_at_the_cap(env_cfg, monkeypatch):
+    # On the reference map a zero-litre move is always legal: between the
+    # villages 0 and 1 while loaded, and to the source when empty.  A greedy
+    # pick that always takes one never finishes the one-quantum budget.
+    config = replace(env_cfg, total_to_distribute=env_cfg.delivery_quantum)
+    monkeypatch.setattr(
+        qlearn, "_argmax_q", lambda model, key, actions: next(a for a in actions if a.dispense == 0)
+    )
+    steps = []
+    with pytest.raises(RuntimeError, match="training episode 0 exceeded 1000 steps"):
+        train_eadql(config, tiny_hyper(episodes=1, p0=0.0, epsilon=1.0), seed=4,
+                    step_hook=lambda *args: steps.append(args[-2]))
+    assert len(steps) == 1000
+    assert all(action.dispense == 0 for action in steps)
 
 
 # ---------------------------------------------------------------------------
