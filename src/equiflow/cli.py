@@ -2,14 +2,11 @@
 
 Experiments are described by one JSON config file; flags only carry paths
 and overrides of the seed, the evaluation epsilon and the number of
-random-start runs.  Set EQUIFLOW_LOG to a logging level name (debug, info,
-...) to control log verbosity.
+random-start runs.
 """
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +19,7 @@ from .config import (
     evaluation_initial,
     load_config,
 )
-from .env import ConfigurationError
+from .env import ConfigurationError, EnvConfig, WorldState
 from .evaluate import (
     LocalPolicy,
     ModelPolicy,
@@ -34,17 +31,6 @@ from .evaluate import (
     write_summary_csv,
 )
 from .qlearn import EpisodeStats, load_model, save_model, train_eadql, train_ecadql
-
-log = logging.getLogger("equiflow")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("EQUIFLOW_LOG", "warning").upper()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, level_name, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -58,18 +44,15 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _progress_printer(every: int = 1000):
-    def print_stats(stats: EpisodeStats) -> None:
-        if stats.episode % every == 0:
-            print(
-                f"episode {stats.episode:>6}  r_hat={stats.avg_reward_estimate:.4f}"
-                f"  lam={stats.lam:.4f}  v_hat={stats.violation_estimate:.4f}"
-                f"  R_hat={stats.reward_estimate:.4f}",
-                file=sys.stderr,
-                flush=True,
-            )
-
-    return print_stats
+def _print_progress(stats: EpisodeStats) -> None:
+    if stats.episode % 1000 == 0:
+        print(
+            f"episode {stats.episode:>6}  r_hat={stats.avg_reward_estimate:.4f}"
+            f"  lam={stats.lam:.4f}  v_hat={stats.violation_estimate:.4f}"
+            f"  R_hat={stats.reward_estimate:.4f}",
+            file=sys.stderr,
+            flush=True,
+        )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -77,8 +60,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.policy_kind == "local":
         raise ConfigurationError("the local policy needs no training")
     trainer = train_ecadql if config.policy_kind == "ecadql" else train_eadql
-    log.info("training %s for %d episodes", config.policy_kind, config.hyper.episodes)
-    model = trainer(config.env, config.hyper, config.seed, on_episode=_progress_printer())
+    model = trainer(config.env, config.hyper, config.seed, on_episode=_print_progress)
     model.kind = config.policy_kind
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -99,80 +81,59 @@ def _build_policy(spec: str, config: ExperimentConfig):
     return ModelPolicy(model), model.hyper.epsilon
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def _evaluation_setup(
+    args: argparse.Namespace,
+) -> tuple[ExperimentConfig, EnvConfig, WorldState, Path]:
+    """The config, evaluation world, fixed start and (created) output directory."""
     config = _load(args)
-    policy, eps_train = _build_policy(args.model, config)
-    env = evaluation_env(config)
-    initial = evaluation_initial(config)
-    eps_eval = config.eval.epsilon_eval
-    tau = config.hyper.tau
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return config, evaluation_env(config), evaluation_initial(config), out_dir
 
+
+def _summary_row(
+    name: str, eps_train: float, config: ExperimentConfig, score: float, ratio: float,
+    length: float,
+) -> SummaryRow:
+    """Print a policy's summary line and return its ``summary.csv`` row."""
+    print(f"policy={name} score={score:.6f} violation_ratio={ratio:.6f}")
+    return SummaryRow(policy=name, epsilon_train=eps_train, epsilon_eval=config.eval.epsilon_eval,
+                      tau=config.hyper.tau, score=score, violation_ratio=ratio,
+                      episode_length=length, seed=config.seed)
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    config, env, initial, out_dir = _evaluation_setup(args)
+    policy, eps_train = _build_policy(args.model, config)
+    eps_eval, tau = config.eval.epsilon_eval, config.hyper.tau
     if config.eval.mode == "fixed":
         traj, metrics = run_episode(policy, env, initial, eps_eval, tau)
-        score, ratio, length = metrics.score, metrics.violation_ratio, float(traj.length)
-        write_series_csv(out_dir / "series.csv", traj, metrics)
+        stats = metrics.score, metrics.violation_ratio, float(traj.length)
     else:
         agg = aggregate_runs(policy, env, config.eval.n_runs, config.seed, eps_eval, tau, initial)
-        score, ratio, length = agg.mean_score, agg.mean_violation_ratio, agg.mean_length
+        stats = agg.mean_score, agg.mean_violation_ratio, agg.mean_length
         # The per-step series file always describes the fixed reference run.
-        write_series_csv(out_dir / "series.csv", agg.reference_trajectory, agg.reference_metrics)
-    write_summary_csv(
-        out_dir / "summary.csv",
-        [
-            SummaryRow(
-                policy=policy.name,
-                epsilon_train=eps_train,
-                epsilon_eval=eps_eval,
-                tau=tau,
-                score=score,
-                violation_ratio=ratio,
-                episode_length=length,
-                seed=config.seed,
-            )
-        ],
-    )
-    print(f"policy={policy.name} score={score:.6f} violation_ratio={ratio:.6f}")
+        traj, metrics = agg.reference_trajectory, agg.reference_metrics
+    write_series_csv(out_dir / "series.csv", traj, metrics)
+    write_summary_csv(out_dir / "summary.csv",
+                      [_summary_row(policy.name, eps_train, config, *stats)])
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _load(args)
-    env = evaluation_env(config)
-    initial = evaluation_initial(config)
-    eps_eval = config.eval.epsilon_eval
-    tau = config.hyper.tau
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    config, env, initial, out_dir = _evaluation_setup(args)
     rows: list[SummaryRow] = []
     named_series: list[tuple[str, list[float]]] = []
-    used_names: set[str] = set()
     for spec in args.policies:
         policy, eps_train = _build_policy(spec, config)
         name = policy.name if spec == "local" else f"{policy.name}:{Path(spec).stem}"
-        while name in used_names:
+        while any(row.policy == name for row in rows):
             name += "+"
-        used_names.add(name)
-        agg = aggregate_runs(policy, env, config.eval.n_runs, config.seed, eps_eval, tau, initial)
-        rows.append(
-            SummaryRow(
-                policy=name,
-                epsilon_train=eps_train,
-                epsilon_eval=eps_eval,
-                tau=tau,
-                score=agg.mean_score,
-                violation_ratio=agg.mean_violation_ratio,
-                episode_length=agg.mean_length,
-                seed=config.seed,
-            )
-        )
+        agg = aggregate_runs(policy, env, config.eval.n_runs, config.seed,
+                             config.eval.epsilon_eval, config.hyper.tau, initial)
+        rows.append(_summary_row(name, eps_train, config, agg.mean_score,
+                                 agg.mean_violation_ratio, agg.mean_length))
         named_series.append((name, agg.mean_series))
-        print(
-            f"policy={name} score={agg.mean_score:.6f}"
-            f" violation_ratio={agg.mean_violation_ratio:.6f}"
-        )
     write_summary_csv(out_dir / "compare_summary.csv", rows)
     write_compare_series_csv(out_dir / "compare_series.csv", named_series)
     return 0
@@ -200,20 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="output model path (.json)")
     p_train.set_defaults(fn=cmd_train)
 
+    def evaluation(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument("--out", required=True, help="output directory for the CSV files")
+        p.add_argument("--eps-eval", dest="eps_eval", type=float, help="override eval epsilon")
+        p.add_argument("--runs", type=int, help="override the number of random-start runs")
+
     p_eval = sub.add_parser("evaluate", help="evaluate a model file or the local baseline")
-    common(p_eval)
+    evaluation(p_eval)
     p_eval.add_argument("--model", required=True, help='model path or the literal "local"')
-    p_eval.add_argument("--out", required=True, help="output directory for the CSV files")
-    p_eval.add_argument("--eps-eval", dest="eps_eval", type=float, help="override eval epsilon")
-    p_eval.add_argument("--runs", type=int, help="override the number of random-start runs")
     p_eval.set_defaults(fn=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", help="aggregate several policies on shared starts")
-    common(p_cmp)
+    evaluation(p_cmp)
     p_cmp.add_argument("policies", nargs="+", help='model paths and/or the literal "local"')
-    p_cmp.add_argument("--out", required=True, help="output directory for the CSV files")
-    p_cmp.add_argument("--eps-eval", dest="eps_eval", type=float, help="override eval epsilon")
-    p_cmp.add_argument("--runs", type=int, help="override the number of runs per policy")
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_dump = sub.add_parser("dump-config", help="print the effective config as JSON")
@@ -223,12 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -74,8 +74,10 @@ class VillageSpec:
     threshold: float
 
     def __post_init__(self) -> None:
-        if not self.population > 0:
-            raise ConfigurationError(f"village {self.id}: population must be positive")
+        # Up to 2**53 every population is an exact float and the scorer's
+        # pairwise products stay finite.
+        if not 0 < self.population <= 2**53:
+            raise ConfigurationError(f"village {self.id}: population must be in [1, 2**53]")
         if not all(0.0 <= x < math.inf for x in (self.base_rate, self.high_rate, self.threshold)):
             raise ConfigurationError(f"village {self.id}: rates and threshold must be in [0, inf)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -107,8 +107,8 @@ def run_episode(
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must be in (0, 1)")
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("tau must be in [0, 1)")
     episode = Episode(config)
     state = episode.reset_to(initial)
     traj = Trajectory(initial=initial, actions=[], rewards=[], violations=[], states=[])
@@ -248,49 +248,16 @@ def write_series_csv(path: str | Path, traj: Trajectory, metrics: RunMetrics) ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(traj.length):
-            state = traj.states[i]
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(traj.rewards[i]),
-                    repr(metrics.running_average[i]),
-                    int(traj.violations[i]),
-                    state.position,
-                    state.load,
-                ]
-                + [repr(x) for x in state.levels]
-            )
+        for i, state in enumerate(traj.states):
+            writer.writerow([i + 1, traj.rewards[i], metrics.running_average[i],
+                             int(traj.violations[i]), state.position, state.load, *state.levels])
 
 
 def write_summary_csv(path: str | Path, rows: Sequence[SummaryRow]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "policy",
-                "epsilon_train",
-                "epsilon_eval",
-                "tau",
-                "score",
-                "violation_ratio",
-                "episode_length",
-                "seed",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.policy,
-                    repr(row.epsilon_train),
-                    repr(row.epsilon_eval),
-                    repr(row.tau),
-                    repr(row.score),
-                    repr(row.violation_ratio),
-                    repr(row.episode_length),
-                    row.seed,
-                ]
-            )
+        writer.writerow(f.name for f in fields(SummaryRow))
+        writer.writerows(astuple(row) for row in rows)
 
 
 def write_compare_series_csv(
@@ -300,5 +267,4 @@ def write_compare_series_csv(
         writer = csv.writer(fh)
         writer.writerow(["policy", "step", "mean_reward"])
         for name, series in named_series:
-            for i, value in enumerate(series, start=1):
-                writer.writerow([name, i, repr(value)])
+            writer.writerows([name, i, value] for i, value in enumerate(series, start=1))

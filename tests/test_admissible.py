@@ -165,7 +165,7 @@ def test_behaviour_params_bundle(env_cfg):
     with pytest.raises(ValueError):
         run_episode(LocalPolicy(), env_cfg, EVAL_START, -0.1, 0.7)
     with pytest.raises(ValueError):
-        run_episode(LocalPolicy(), env_cfg, EVAL_START, 0.1, 0.0)
+        run_episode(LocalPolicy(), env_cfg, EVAL_START, 0.1, 1.0)
 
 
 def test_violation_count_matches_replayed_trajectory(env_cfg):

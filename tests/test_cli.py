@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -194,6 +195,11 @@ def fractional_episodes(data):
     return "hyper.episodes: "
 
 
+def huge_population(data):
+    data["env"]["villages"][1]["population"] = 10**400
+    return "env.villages: village 1: population must be"
+
+
 @pytest.mark.parametrize(
     "mutate,named",
     [
@@ -211,6 +217,7 @@ def fractional_episodes(data):
         (misspelt_hyper_key, "'explore_admisible_only'"),
         (string_false, "'false'"),
         (fractional_episodes, "2.7"),
+        (huge_population, "2**53"),
     ],
 )
 def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
@@ -375,6 +382,22 @@ def test_evaluate_model_and_aggregate_mode(tmp_path, quick_config_path):
     assert float(summary[1][2]) == 0.05
 
 
+def test_tau_zero_config_trains_and_evaluates(tmp_path, quick_config_path):
+    # tau = 0 disables the equity floor in training and flags no evaluated step.
+    data = json.loads(quick_config_path.read_text())
+    data["hyper"]["tau"] = 0.0
+    cfg = tmp_path / "tau0.json"
+    cfg.write_text(json.dumps(data))
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(cfg), "--out", str(model_path)]) == 0
+    for model in ("local", str(model_path)):
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", str(cfg), "--model", model, "--out", str(out)]) == 0
+        summary = read_csv(out / "summary.csv")
+        assert float(summary[1][3]) == 0.0 and float(summary[1][5]) == 0.0
+        assert {row[3] for row in read_csv(out / "series.csv")[1:]} == {"0"}
+
+
 def test_evaluate_rejects_level_param_mismatch(tmp_path, quick_config_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["train", "--config", str(quick_config_path), "--out", str(model_path)]) == 0
@@ -432,3 +455,58 @@ def test_compare_single_policy_matches_evaluate(tmp_path, quick_config_path):
     ev = read_csv(out_eval / "summary.csv")[1]
     cmp_row = read_csv(out_cmp / "compare_summary.csv")[1]
     assert ev[4:7] == cmp_row[4:7]  # score, violation_ratio, episode_length
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: stdout and the SHA-256 of every CSV of ``evaluate`` (fixed
+# and random mode) and ``compare`` on the quick config, with a 10-episode
+# eps-ADQL model.  Reporting changes must keep every byte.
+
+CLI_GOLDEN = {
+    "fixed": (
+        "policy=eadql score=0.746322 violation_ratio=0.191489\n",
+        {
+            "series.csv": "1d2241f20f1f7df13f450b0e3617a9a5282fa08bd94d3f0b2daed2f9e4f4fc71",
+            "summary.csv": "0c9a174b1b5f97afae45e4e53ea6e852251e3e1fd7033b2c508e19a548c72d09",
+        },
+    ),
+    "random": (
+        "policy=eadql score=0.679475 violation_ratio=0.486637\n",
+        {
+            "series.csv": "1d2241f20f1f7df13f450b0e3617a9a5282fa08bd94d3f0b2daed2f9e4f4fc71",
+            "summary.csv": "6c085db550c63c0f517f290d5aa0944cafaeaa56cc25d8a9001d4ae7fb57dd97",
+        },
+    ),
+    "compare": (
+        "policy=local score=0.861682 violation_ratio=0.095238\n"
+        "policy=eadql:model score=0.679475 violation_ratio=0.486637\n",
+        {
+            "compare_series.csv": "c65a6261a383ae0205e4e67f584e6673bdecd6b60dad19a9af80812dc96c542e",
+            "compare_summary.csv": "60b9f3fa72af540144432e16d7210609c0a5d8e4f0f423f26d4d65dfaf7921e1",
+        },
+    ),
+}
+
+
+def test_evaluate_and_compare_outputs_are_pinned(tmp_path, quick_config_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(quick_config_path), "--out", str(model_path)]) == 0
+    data = json.loads(quick_config_path.read_text())
+    data["eval"]["mode"] = "random"
+    random_cfg = tmp_path / "random.json"
+    random_cfg.write_text(json.dumps(data))
+    commands = {
+        "fixed": ["evaluate", "--config", str(quick_config_path), "--model", str(model_path)],
+        "random": ["evaluate", "--config", str(random_cfg), "--model", str(model_path)],
+        "compare": ["compare", "--config", str(quick_config_path), "local", str(model_path)],
+    }
+    capsys.readouterr()
+    outputs = {}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs[name] = (
+            capsys.readouterr().out,
+            {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())},
+        )
+    assert outputs == CLI_GOLDEN

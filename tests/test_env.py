@@ -277,6 +277,15 @@ def test_local_policy_liveness(env_cfg, experiment_cfg):
 # ---------------------------------------------------------------------------
 # Config validation
 
+def test_largest_population_scores_finitely():
+    # Populations up to the bound are exact floats, and the pair weight 2**106 is finite.
+    villages = (VillageSpec(0, 2**53, 1.0, 1.0, 1.0), VillageSpec(1, 2**53, 1.0, 1.0, 1.0))
+    env = EnvConfig(villages=villages, network=RoadNetwork.from_edges(
+        [(SOURCE, 0), (0, 1), (1, SOURCE)], [0, 1]), capacity=10, delivery_quantum=10,
+        total_to_distribute=10, reset_mode=RandomReset(0.0, 1.0))
+    assert env.equity_of((1.0, 3.0)) == 0.75
+
+
 def test_config_validation_errors(env_cfg):
     with pytest.raises(ConfigurationError):
         replace(env_cfg, capacity=50000)  # not a quantum multiple
@@ -284,6 +293,8 @@ def test_config_validation_errors(env_cfg):
         replace(env_cfg, total_to_distribute=0)
     with pytest.raises(ConfigurationError):
         VillageSpec(0, 0, 1.0, 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match=r"\[1, 2\*\*53\]"):
+        VillageSpec(0, 2**53 + 1, 1.0, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         RoadNetwork.from_edges([(SOURCE, 0), (0, 0), (0, SOURCE)], [0])
     with pytest.raises(ConfigurationError):

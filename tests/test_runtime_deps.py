@@ -1,5 +1,7 @@
 """The runtime is dependency-free Python: every module of the package imports
-only the standard library, and itself through relative imports."""
+only the standard library, and itself through relative imports.  Its
+behaviour is set by the config file and the command line alone: no module
+reads an environment variable."""
 import ast
 import sys
 from pathlib import Path
@@ -26,3 +28,23 @@ def test_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     )
     assert outside == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path: Path):
+    """Line numbers of every ``os.environ``/``os.getenv`` reference or import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT_READERS for alias in node.names):
+                yield node.lineno
+
+
+def test_package_reads_no_environment_variables():
+    reads = sorted(
+        f"{path.name}:{line}" for path in SRC.glob("*.py") for line in environment_reads(path)
+    )
+    assert reads == []
