@@ -21,6 +21,7 @@ from .env import (
     EpisodeFinishedError,
     IllegalActionError,
     InvalidStateError,
+    LevelOverflowError,
     RandomReset,
     RoadNetwork,
     StepOutcome,

@@ -12,10 +12,10 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .env import (SOURCE, ConfigurationError, EnvConfig, RandomReset, RoadNetwork, VillageSpec,
-                  WorldState)
-from .qlearn import (Hyperparams, as_float, as_int, as_str, hyper_from_dict, read_fields,
-                     reporting_malformed)
+from .env import (SOURCE, ConfigurationError, EnvConfig, LevelOverflowError, RandomReset,
+                  RoadNetwork, VillageSpec, WorldState)
+from .qlearn import (Hyperparams, KeyPathError, as_float, as_int, as_str, hyper_from_dict,
+                     read_fields, reporting_malformed)
 
 __all__ = [
     "EvalSettings",
@@ -150,7 +150,10 @@ _ENV_FIELDS = {
 def env_from_dict(data: object) -> EnvConfig:
     fields = read_fields(data, _ENV_FIELDS, "env")
     network = RoadNetwork.from_edges(fields.pop("edges"), [v.id for v in fields["villages"]])
-    return EnvConfig(network=network, reset_mode=fields.pop("reset"), **fields)
+    try:
+        return EnvConfig(network=network, reset_mode=fields.pop("reset"), **fields)
+    except LevelOverflowError as exc:  # only the reset range can start that high
+        raise KeyPathError(f"env.reset: {exc}") from exc
 
 
 _EVAL_FIELDS = {"n_runs": as_int, "epsilon_eval": as_float, "mode": as_str,

@@ -15,27 +15,37 @@ An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
 
 ``successors`` is the one copy of the dynamics: per state, every village
-consumes once and each action's successor replaces only its destination
-entry.  The last state's table stays on the config, keyed by object
-identity, so scoring a state and stepping from it cost one pass together.
+consumes once, through a loop-free function compiled per rate table, and each
+action's successor level vector replaces only its destination entry.  The
+table holds levels and equity only; a ``WorldState`` is built for the one
+action a step commits.  The last state's table stays on the config, keyed by
+object identity, so scoring a state and stepping from it cost one pass
+together.
+
+States are validated where they enter: reset states and any state a caller
+builds.  The state the kernel last committed is made from a validated one and
+is let through by identity.  A level is valid up to a cap from which a whole
+water budget delivered to the smallest village keeps the equity score finite,
+so the states the kernel produces need no check of their own.
 """
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .equity import make_equity_scorer
 
 SOURCE = -1
 
 __all__ = [
-    "SOURCE", "ConfigurationError", "EmptyActionSetError", "InvalidStateError",
-    "IllegalActionError", "EpisodeFinishedError", "VillageSpec", "RoadNetwork", "RandomReset",
-    "EnvConfig", "WorldState", "Action", "StepOutcome", "Episode", "available_actions",
-    "consume", "predict_transition", "successors"
+    "SOURCE", "ConfigurationError", "EmptyActionSetError", "LevelOverflowError",
+    "InvalidStateError", "IllegalActionError", "EpisodeFinishedError", "VillageSpec",
+    "RoadNetwork", "RandomReset", "EnvConfig", "WorldState", "Action", "StepOutcome", "Episode",
+    "available_actions", "consume", "predict_transition", "successors"
 ]
 
 
@@ -45,6 +55,16 @@ class ConfigurationError(ValueError):
 
 class EmptyActionSetError(ConfigurationError):
     """A reachable state has no legal action; the road graph is defective."""
+
+
+class LevelOverflowError(ConfigurationError):
+    """Levels a state starts from, or can reach, would overflow the equity score."""
+
+    def __init__(self, what: str, level: float, cap: float) -> None:
+        super().__init__(
+            f"{what} {level!r} is above {cap!r}, the largest level from which a whole water "
+            "budget delivered to the smallest village keeps the equity score finite"
+        )
 
 
 class InvalidStateError(ValueError):
@@ -80,6 +100,10 @@ class VillageSpec:
             raise ConfigurationError(f"village {self.id}: population must be in [1, 2**53]")
         if not all(0.0 <= x < math.inf for x in (self.base_rate, self.high_rate, self.threshold)):
             raise ConfigurationError(f"village {self.id}: rates and threshold must be in [0, inf)")
+        # Floats, as a config file gives them, so that ``consume`` and the
+        # compiled consumer (which writes them in as literals) agree.
+        for name in ("base_rate", "high_rate", "threshold"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -206,6 +230,8 @@ class EnvConfig:
             raise ConfigurationError("capacity must be a multiple of the delivery quantum")
         if self.total_to_distribute <= 0:
             raise ConfigurationError("total_to_distribute must be positive")
+        if not self.reset_mode.high <= self._level_cap:
+            raise LevelOverflowError("high", self.reset_mode.high, self._level_cap)
 
     @property
     def n_villages(self) -> int:
@@ -221,13 +247,52 @@ class EnvConfig:
         return make_equity_scorer(self.populations)
 
     @cached_property
+    def _level_cap(self) -> float:
+        """Largest level a validated state may hold.
+
+        From there the water budget plus one truckload, all delivered to the
+        smallest village, keeps the equity score's total, pairwise spread and
+        denominator finite: each is at most (sum of populations)**2 times the
+        largest level, and the factor 2 covers the rounding of the sums.
+        """
+        weight = float(sum(self.populations))
+        try:
+            reach = (self.total_to_distribute + self.capacity) / min(self.populations)
+        except OverflowError:  # a budget beyond float range
+            return -math.inf
+        return sys.float_info.max / (2.0 * weight * weight) - reach
+
+    @cached_property
     def _successor_memo(self) -> list:
-        """One slot, ``(state, successors(state))`` of the last expanded state."""
-        return [(object(), {})]
+        """``[state, successors(state), committed]``: the last expanded state,
+        its table, and the last state ``_successor`` built."""
+        return [object(), {}, object()]
 
     @cached_property
     def _rate_table(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((v.base_rate, v.high_rate, v.threshold) for v in self.villages)
+
+    @cached_property
+    def _consume_all(self) -> Callable[[Sequence[float]], tuple[float, ...]]:
+        """``consume`` for every village at once, compiled into loop-free code.
+
+        One statement per village does ``consume``'s operations with its rates
+        written in as float literals, so the result is bit-equal to calling
+        ``consume`` village by village.
+        """
+        n = self.n_villages
+        lines = [
+            "def consume_all(levels):",
+            f"    {''.join(f'v{i}, ' for i in range(n))}= levels",
+            *(
+                f"    c{i} = v{i} - ({high!r} if v{i} > {threshold!r} else {base!r})"
+                for i, (base, high, threshold) in enumerate(self._rate_table)
+            ),
+            f"    return ({''.join(f'c{i} if c{i} > 0.0 else 0.0, ' for i in range(n))})",
+        ]
+        namespace: dict = {}
+        exec(compile("\n".join(lines), f"<consumer, {n} villages>", "exec"), namespace)
+        return namespace["consume_all"]
 
     @cached_property
     def _action_table(self) -> dict[tuple[int, int], tuple[Action, ...]]:
@@ -252,13 +317,18 @@ class EnvConfig:
         return table
 
     def validate_state(self, state: WorldState) -> None:
+        if state is self._successor_memo[2]:
+            return  # committed by the kernel from a validated state
         if state.position not in self.network.nodes:
             raise InvalidStateError(f"position {state.position} is not in the network")
         # A tuple, so that a table memoised for this state object stays valid.
         if not isinstance(state.levels, tuple) or len(state.levels) != self.n_villages:
             raise InvalidStateError("levels must be a tuple with one entry per village")
-        if not all(0.0 <= x < math.inf for x in state.levels):
-            raise InvalidStateError("water levels must be finite and non-negative")
+        cap = self._level_cap
+        if not all(0.0 <= x <= cap for x in state.levels):
+            if not all(0.0 <= x < math.inf for x in state.levels):
+                raise InvalidStateError("water levels must be finite and non-negative")
+            raise LevelOverflowError("water level", max(state.levels), cap)
         if not 0 <= state.load <= self.capacity or state.load % self.delivery_quantum != 0:
             raise InvalidStateError(
                 f"load {state.load} must be a quantum multiple within [0, capacity]"
@@ -287,32 +357,35 @@ def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...
     return acts
 
 
-def successors(state: WorldState, config: EnvConfig) -> dict[Action, tuple[WorldState, float]]:
-    """``{action: (next state, its equity)}`` for every legal action, in action order.
+def successors(
+    state: WorldState, config: EnvConfig
+) -> dict[Action, tuple[tuple[float, ...], float]]:
+    """``{action: (next levels, their equity)}`` for every legal action, in action order.
 
-    Move and dispense, then every village consumes.  Asked again for the same
-    state object, it returns the same table, kept on ``config``: do not mutate it.
+    Move and dispense, then every village consumes.  Only the level vectors are
+    built; ``predict_transition`` and ``Episode.step`` make the ``WorldState``
+    of the action they commit.  Asked again for the same state object, it
+    returns the same table, kept on ``config``: do not mutate it.
     """
-    last, table = config._successor_memo[0]
-    if last is state:
-        return table
+    memo = config._successor_memo
+    if memo[0] is state:
+        return memo[1]
     acts = available_actions(state, config)
     equity, rates, levels = config.equity_of, config._rate_table, state.levels
-    base = tuple([consume(lvl, *rate) for lvl, rate in zip(levels, rates)])
+    base = config._consume_all(levels)
     base_score = None  # shared by every zero-litre and source move
     table = {}
     for action in acts:
         dest, dispense = action
-        new, score = base, base_score
         if dispense:
             lifted = consume(levels[dest] + dispense / config.populations[dest], *rates[dest])
             new = base[:dest] + (lifted,) + base[dest + 1:]
-            score = equity(new)
-        elif score is None:
-            score = base_score = equity(base)
-        load = config.capacity if dest == SOURCE else state.load - dispense
-        table[action] = (WorldState(new, dest, load, state.distributed_total + dispense), score)
-    config._successor_memo[0] = (state, table)
+            table[action] = (new, equity(new))
+        else:
+            if base_score is None:
+                base_score = equity(base)
+            table[action] = (base, base_score)
+    memo[0], memo[1] = state, table
     return table
 
 
@@ -320,7 +393,12 @@ def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[Wo
     entry = successors(state, config).get(action)
     if entry is None:
         raise IllegalActionError(f"action {action} is not available from {state}")
-    return entry
+    levels, score = entry
+    dest, dispense = action
+    load = config.capacity if dest == SOURCE else state.load - dispense
+    nxt = WorldState(levels, dest, load, state.distributed_total + dispense)
+    config._successor_memo[2] = nxt
+    return nxt, score
 
 
 def predict_transition(state: WorldState, action: Action, config: EnvConfig) -> WorldState:

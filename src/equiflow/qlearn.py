@@ -19,6 +19,7 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
@@ -74,6 +75,12 @@ class LevelParams:
     def green_bound(self) -> float:
         return self.desired + (self.desired + self.min_requirement) / 2.0
 
+    @cached_property
+    def _bands(self) -> tuple[float, float, float]:
+        """``(red bound, green bound, hidden band width)``, computed once for ``levelise``."""
+        red, green = self.red_bound, self.green_bound
+        return red, green, (green - red) / self.hidden
+
 
 class LevelisedState(NamedTuple):
     """Discrete Q-table key: level band per village, truck position, load."""
@@ -85,9 +92,7 @@ class LevelisedState(NamedTuple):
 
 def levelise(state: WorldState, params: LevelParams) -> LevelisedState:
     """Map a continuous state onto its discrete Q-table key."""
-    red = params.red_bound
-    green = params.green_bound
-    width = (green - red) / params.hidden
+    red, green, width = params._bands
     bands = []
     for x in state.levels:
         if x <= red:

@@ -200,6 +200,12 @@ def huge_population(data):
     return "env.villages: village 1: population must be"
 
 
+def huge_reset(data):
+    # Reset levels this high overflow the equity score once water is delivered.
+    data["env"]["reset"]["high"] = 1e306
+    return "env.reset: high 1e+306 is above "
+
+
 @pytest.mark.parametrize(
     "mutate,named",
     [
@@ -218,6 +224,7 @@ def huge_population(data):
         (string_false, "'false'"),
         (fractional_episodes, "2.7"),
         (huge_population, "2**53"),
+        (huge_reset, "equity score"),
     ],
 )
 def test_config_with_missing_or_mistyped_entry_is_a_clean_error(

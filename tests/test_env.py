@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -15,6 +17,7 @@ from equiflow import (
     EpisodeFinishedError,
     IllegalActionError,
     InvalidStateError,
+    LevelOverflowError,
     LocalPolicy,
     RandomReset,
     RoadNetwork,
@@ -118,6 +121,66 @@ def test_consume_rates(env_cfg, village_id, level, expected):
     v = env_cfg.villages[village_id]
     left = consume(level, v.base_rate, v.high_rate, v.threshold)
     assert left == pytest.approx(expected, abs=1e-12)
+
+
+def star_config(villages):
+    """Every village on its own road to and from the source."""
+    n = len(villages)
+    edges = [e for v in range(n) for e in ((SOURCE, v), (v, SOURCE))]
+    return EnvConfig(villages=tuple(villages), network=RoadNetwork.from_edges(edges, range(n)))
+
+
+def consume_each(levels, config):
+    return tuple(consume(x, v.base_rate, v.high_rate, v.threshold)
+                 for x, v in zip(levels, config.villages))
+
+
+SUBNORMALS = (5e-324, 2.225073858507201e-308)
+
+
+@st.composite
+def villages_and_levels(draw):
+    """1-12 villages, each level at 0, at a threshold or a rate, one ulp
+    either side of one, subnormal, or anywhere up to 1e6."""
+    rates = st.floats(0.0, 1e3) | st.sampled_from(SUBNORMALS)
+    n = draw(st.integers(1, 12))
+    villages = [
+        VillageSpec(i, draw(st.integers(1, 5000)), draw(rates), draw(rates),
+                    draw(st.floats(0.0, 1e6)))
+        for i in range(n)
+    ]
+    levels = []
+    for v in villages:
+        edge = draw(st.sampled_from((v.threshold, v.base_rate, v.high_rate)))
+        levels.append(draw(
+            st.sampled_from((0.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                             *SUBNORMALS))
+            | st.floats(0.0, 1e6)
+        ))
+    return star_config(villages), tuple(levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(villages_and_levels())
+def test_compiled_consumption_is_bit_equal_to_consume(world):
+    config, levels = world
+    consumed = config._consume_all(levels)
+    assert type(consumed) is tuple
+    assert [x.hex() for x in consumed] == [x.hex() for x in consume_each(levels, config)]
+
+
+def test_compiled_consumption_builds_for_200_villages_in_under_a_second():
+    rng = random.Random(5)
+    config = star_config([
+        VillageSpec(i, rng.randint(1, 5000), rng.uniform(0.0, 10.0), rng.uniform(0.0, 100.0),
+                    rng.uniform(0.0, 600.0))
+        for i in range(200)
+    ])
+    start = time.perf_counter()
+    consume_all = config._consume_all
+    assert time.perf_counter() - start < 1.0
+    levels = tuple(rng.uniform(0.0, 700.0) for _ in range(200))
+    assert consume_all(levels) == consume_each(levels, config)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +389,12 @@ def assert_kernel_matches_reference(config, states):
     for s in states:
         table = successors(s, config)
         assert list(table) == list(available_actions(s, config))
-        for action, (nxt, score) in table.items():
+        for action, (levels, score) in table.items():
             expected = reference_transition(s, action, config)
-            assert nxt == expected  # bit-equal, not approximately equal
+            assert type(levels) is tuple
+            # Bit-equal, not approximately equal.
+            assert [x.hex() for x in levels] == [x.hex() for x in expected.levels]
+            assert predict_transition(s, action, config) == expected
             assert score == config.equity_of(expected.levels)
 
 
@@ -437,3 +503,54 @@ def test_list_levels_are_rejected(env_cfg):
         predict_transition(bad, Action(1, 0), env_cfg)
     with pytest.raises(InvalidStateError):
         Episode(env_cfg).reset_to(bad)
+
+
+def test_committed_state_skips_validation_but_its_user_built_twins_do_not(env_cfg):
+    ep = Episode(env_cfg)
+    ep.reset_to(state((0, 300, 200, 200)))
+    produced = ep.step(Action(1, 30000)).next_state
+    assert available_actions(produced, env_cfg)
+    twins = [
+        produced._replace(levels=list(produced.levels)),
+        produced._replace(levels=(math.nan,) + produced.levels[1:]),
+    ]
+    for twin in twins:
+        with pytest.raises(InvalidStateError):
+            available_actions(twin, env_cfg)
+        with pytest.raises(InvalidStateError):
+            score_actions(twin, env_cfg)
+        with pytest.raises(InvalidStateError):
+            predict_transition(twin, Action(1, 0), env_cfg)
+    # The committed state is still the one let through.
+    assert score_actions(produced, env_cfg)
+
+
+def test_state_committed_under_one_config_is_checked_by_another(env_cfg):
+    produced = predict_transition(state((0, 300, 200, 200)), Action(1, 0), env_cfg)
+    three = EnvConfig(villages=env_cfg.villages[:3], network=RoadNetwork.from_edges(
+        [(SOURCE, 0), (0, 1), (1, 2), (2, SOURCE)], [0, 1, 2]))
+    with pytest.raises(InvalidStateError):
+        available_actions(produced, three)
+    with pytest.raises(InvalidStateError):
+        predict_transition(produced, Action(0, 0), three)
+    with pytest.raises(InvalidStateError):
+        Episode(three).reset_to(produced)
+
+
+def test_levels_that_could_overflow_the_equity_score_are_rejected(env_cfg):
+    with pytest.raises(LevelOverflowError, match="equity score"):
+        replace(env_cfg, reset_mode=RandomReset(0.0, 1e306))
+    huge = state((0, 1e306, 200, 200))
+    with pytest.raises(LevelOverflowError):
+        Episode(env_cfg).reset_to(huge)
+    with pytest.raises(LevelOverflowError):
+        score_actions(huge, env_cfg)
+    # Started at the cap itself, every state an episode reaches scores finitely.
+    cap = env_cfg._level_cap
+    assert 1e290 < cap < 1e306
+    ep = Episode(env_cfg, seed=3)
+    ep.reset_to(state((0, cap, cap / 2, 200)))
+    while not ep.done:
+        scored = score_actions(ep.state, env_cfg)
+        assert all(math.isfinite(sa.successor_alignment) for sa in scored)
+        ep.step(scored[-1].action)
