@@ -12,8 +12,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .env import (SOURCE, ConfigurationError, EnvConfig, LevelOverflowError, RandomReset,
-                  RoadNetwork, VillageSpec, WorldState)
+from .env import (SOURCE, ConfigurationError, EnvConfig, InvalidStateError, LevelOverflowError,
+                  RandomReset, RoadNetwork, VillageSpec, WorldState)
 from .qlearn import (Hyperparams, KeyPathError, as_float, as_int, as_str, hyper_from_dict,
                      read_fields, reporting_malformed)
 
@@ -96,6 +96,13 @@ class ExperimentConfig:
             raise ConfigurationError("policy_kind 'adql' requires epsilon >= 1")
         if len(self.eval.fixed_levels) != self.env.n_villages:
             raise ConfigurationError("eval fixed_levels length must match the village count")
+        env = evaluation_env(self)  # outside the try: a reset range too high fails here
+        try:
+            env.validate_state(evaluation_initial(self))
+        except LevelOverflowError as exc:
+            raise LevelOverflowError(f"eval.fixed_levels: {exc.what}", exc.level, exc.cap) from None
+        except InvalidStateError as exc:
+            raise ConfigurationError(f"eval.fixed_levels: {exc}") from None
 
 
 def default_env_config() -> EnvConfig:

@@ -14,11 +14,16 @@ water.  Movement rules:
 An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
 
-``successors`` is the one copy of the dynamics: per state, every village
-consumes once, through a loop-free function compiled per rate table, and each
-action's successor level vector replaces only its destination entry.  The
-table holds levels and equity only; a ``WorldState`` is built for the one
-action a step commits.  The last state's table stays on the config, keyed by
+``successors`` is the one copy of the dynamics.  Per state, a base expansion
+compiled once per world lets every village consume and computes the equity
+score's village and pair terms and the score of the consumed levels, shared
+by every zero-litre and source move.  A delivery changes only its
+destination: that village's lift, compiled on its first delivery, consumes
+from the lifted level, recomputes the village's ``n`` terms and sums them
+with the other term values in the scorer's order, so every score is
+bit-equal to ``EnvConfig.equity_of`` of the level vector.  The table holds
+levels and equity only; a ``WorldState`` is built for the one action a step
+commits.  The last state's table stays on the config, keyed by
 object identity, so scoring a state and stepping from it cost one pass
 together.
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equity import make_equity_scorer
+from .equity import make_equity_scorer, score_statements
 
 SOURCE = -1
 
@@ -61,6 +66,7 @@ class LevelOverflowError(ConfigurationError):
     """Levels a state starts from, or can reach, would overflow the equity score."""
 
     def __init__(self, what: str, level: float, cap: float) -> None:
+        self.what, self.level, self.cap = what, level, cap
         super().__init__(
             f"{what} {level!r} is above {cap!r}, the largest level from which a whole water "
             "budget delivered to the smallest village keeps the equity score finite"
@@ -141,11 +147,10 @@ class RoadNetwork:
         seen = {start}
         frontier = [start]
         while frontier:
-            node = frontier.pop()
-            for a, b in self.edges:
-                if a == node and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
+            for node in self._outgoing[frontier.pop()]:
+                if node not in seen:
+                    seen.add(node)
+                    frontier.append(node)
         return frozenset(seen)
 
     @cached_property
@@ -272,27 +277,62 @@ class EnvConfig:
     def _rate_table(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((v.base_rate, v.high_rate, v.threshold) for v in self.villages)
 
-    @cached_property
-    def _consume_all(self) -> Callable[[Sequence[float]], tuple[float, ...]]:
-        """``consume`` for every village at once, compiled into loop-free code.
+    def _compile_kernel(self, d: int | None = None) -> Callable:
+        """Loop-free successor code: the base expansion, or the lift of village ``d``.
 
-        One statement per village does ``consume``'s operations with its rates
-        written in as float literals, so the result is bit-equal to calling
-        ``consume`` village by village.
+        The base expansion maps ``levels`` to ``(consumed levels, terms,
+        equity of the consumed levels)``: every village consumes as ``consume``
+        does, then the equity score's village terms ``t{i}`` and pair terms
+        ``p{i}_{j}`` are computed and summed as ``equity_of`` does.  The lift of
+        ``d`` maps ``(lifted level of d, consumed levels, terms)`` to ``(next
+        levels, equity)``: village ``d`` consumes from its lifted level, its
+        ``n`` terms are computed again, and the score sums them with the other
+        term values as they are, in the same order.  Rates and weights are
+        written in as float literals; either function has O(villages**2)
+        statements.
         """
-        n = self.n_villages
-        lines = [
-            "def consume_all(levels):",
-            f"    {''.join(f'v{i}, ' for i in range(n))}= levels",
-            *(
-                f"    c{i} = v{i} - ({high!r} if v{i} > {threshold!r} else {base!r})"
-                for i, (base, high, threshold) in enumerate(self._rate_table)
-            ),
-            f"    return ({''.join(f'c{i} if c{i} > 0.0 else 0.0, ' for i in range(n))})",
-        ]
+        n, w = self.n_villages, self.populations
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        village_terms, pair_terms = [f"t{i}" for i in range(n)], [f"p{i}_{j}" for i, j in pairs]
+        levels = "".join(f"c{i}, " for i in range(n))
+        terms = "".join(f"{t}, " for t in village_terms + pair_terms)
+        if d is None:
+            head = ["def f(levels):", f"    {''.join(f'v{i}, ' for i in range(n))}= levels"]
+            sources = {i: f"v{i}" for i in range(n)}
+            tail, returning = [f"    terms = ({terms})"], "levels, terms, "
+        else:
+            head = ["def f(x, consumed, terms):", f"    {levels}= consumed", f"    {terms}= terms"]
+            sources = {d: "x"}
+            pairs = [pair for pair in pairs if d in pair]
+            tail, returning = [], "levels, "
+        lines = head
+        for i, x in sources.items():
+            base, high, threshold = self._rate_table[i]
+            lines += [
+                f"    c{i} = {x} - ({high!r} if {x} > {threshold!r} else {base!r})",
+                f"    c{i} = c{i} if c{i} > 0.0 else 0.0",
+            ]
+        lines += [f"    t{i} = {float(w[i])!r} * c{i}" for i in sources]
+        lines += [f"    p{i}_{j} = {float(w[i] * w[j])!r} * abs(c{i} - c{j})" for i, j in pairs]
+        lines += [f"    levels = ({levels})", *tail,
+                  *score_statements(village_terms, pair_terms, sum(w), returning)]
+        name = "base expansion" if d is None else f"lift {d}"
         namespace: dict = {}
-        exec(compile("\n".join(lines), f"<consumer, {n} villages>", "exec"), namespace)
-        return namespace["consume_all"]
+        exec(compile("\n".join(lines), f"<{name} of {n}>", "exec"), namespace)
+        return namespace["f"]
+
+    @cached_property
+    def _expand(self) -> Callable[[Sequence[float]], tuple[tuple[float, ...], tuple, float]]:
+        return self._compile_kernel()
+
+    @cached_property
+    def _lifts(self) -> list:
+        """The lift of each village, compiled on its first delivery by ``_lift``."""
+        return [None] * self.n_villages
+
+    def _lift(self, d: int) -> Callable:
+        self._lifts[d] = lift = self._compile_kernel(d)
+        return lift
 
     @cached_property
     def _action_table(self) -> dict[tuple[int, int], tuple[Action, ...]]:
@@ -315,6 +355,17 @@ class EnvConfig:
                         )
                 table[(pos, load)] = tuple(acts)
         return table
+
+    @cached_property
+    def _deliveries(self) -> dict[tuple[int, int], tuple[tuple[Action, int, float], ...]]:
+        """``_action_table`` with each action's destination and its increment
+        ``dispense / population`` of the destination's level (0.0 for none)."""
+        pops = self.populations
+        return {
+            key: tuple((a, a.destination, a.dispense / pops[a.destination] if a.dispense else 0.0)
+                       for a in acts)
+            for key, acts in self._action_table.items()
+        }
 
     def validate_state(self, state: WorldState) -> None:
         if state is self._successor_memo[2]:
@@ -370,21 +421,17 @@ def successors(
     memo = config._successor_memo
     if memo[0] is state:
         return memo[1]
-    acts = available_actions(state, config)
-    equity, rates, levels = config.equity_of, config._rate_table, state.levels
-    base = config._consume_all(levels)
-    base_score = None  # shared by every zero-litre and source move
+    available_actions(state, config)
+    levels = state.levels
+    consumed, terms, base_score = config._expand(levels)
+    lifts = config._lifts
     table = {}
-    for action in acts:
-        dest, dispense = action
-        if dispense:
-            lifted = consume(levels[dest] + dispense / config.populations[dest], *rates[dest])
-            new = base[:dest] + (lifted,) + base[dest + 1:]
-            table[action] = (new, equity(new))
+    for action, dest, increment in config._deliveries[(state.position, state.load)]:
+        if increment:
+            lift = lifts[dest] or config._lift(dest)
+            table[action] = lift(levels[dest] + increment, consumed, terms)
         else:
-            if base_score is None:
-                base_score = equity(base)
-            table[action] = (base, base_score)
+            table[action] = (consumed, base_score)
     memo[0], memo[1] = state, table
     return table
 
@@ -393,8 +440,11 @@ def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[Wo
     entry = successors(state, config).get(action)
     if entry is None:
         raise IllegalActionError(f"action {action} is not available from {state}")
-    levels, score = entry
     dest, dispense = action
+    # An equal action with float or bool fields would carry them into the state.
+    if type(dest) is not int or type(dispense) is not int:
+        raise IllegalActionError(f"action {action} must have int destination and dispense")
+    levels, score = entry
     load = config.capacity if dest == SOURCE else state.load - dispense
     nxt = WorldState(levels, dest, load, state.distributed_total + dispense)
     config._successor_memo[2] = nxt

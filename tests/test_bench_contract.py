@@ -78,9 +78,9 @@ def test_bench_selftest_passes():
 
 
 def test_step_loop_call_counts(monkeypatch):
-    """The counts ``bench/run.py:check_traced_totals`` checks, and one state
-    expansion per scored state with at most one equity evaluation per scored
-    action (so that stepping never simulates a scored successor again)."""
+    """The counts ``bench/run.py:check_traced_totals`` checks, and one base
+    expansion per scored state with at most one lift per scored action (so
+    that stepping never simulates a scored successor again)."""
     counts = Counter()
 
     def counting(name, fn):
@@ -101,8 +101,9 @@ def test_step_loop_call_counts(monkeypatch):
                         counting("available_actions", equiflow.env.available_actions))
     monkeypatch.setattr(Episode, "step", counting("step", Episode.step))
     config = default_config()
-    env = replace(config.env)  # a fresh config, so that its scorer can be wrapped
-    object.__setattr__(env, "equity_of", counting("equity", env.equity_of))
+    env = replace(config.env)  # a fresh config, so that its kernel can be wrapped
+    object.__setattr__(env, "_expand", counting("expand", env._expand))
+    env._lifts[:] = [counting("lift", env._lift(d)) for d in range(env.n_villages)]
 
     stats = []
     train_ecadql(env, replace(config.hyper, episodes=20), 7, on_episode=stats.append)
@@ -112,7 +113,8 @@ def test_step_loop_call_counts(monkeypatch):
     assert counts["score_actions"] == steps + len(stats)
     assert counts["double_q_update"] == steps
     assert counts["available_actions"] == counts["score_actions"]
-    assert 0 < counts["equity"] <= counts["scored"]
+    assert counts["expand"] == counts["score_actions"]
+    assert 0 < counts["lift"] <= counts["scored"]
 
     counts.clear()
     traj, _ = run_episode(LocalPolicy(), env, evaluation_initial(config),
@@ -120,4 +122,5 @@ def test_step_loop_call_counts(monkeypatch):
     assert traj.length > 0
     assert counts["step"] == counts["score_actions"] == traj.length
     assert counts["available_actions"] == counts["score_actions"]
-    assert 0 < counts["equity"] <= counts["scored"]
+    assert counts["expand"] == counts["score_actions"]
+    assert 0 < counts["lift"] <= counts["scored"]

@@ -206,6 +206,17 @@ def huge_reset(data):
     return "env.reset: high 1e+306 is above "
 
 
+def huge_fixed_levels(data):
+    # An evaluation start this high overflows the equity score once water is delivered.
+    data["eval"]["fixed_levels"][1] = 1e306
+    return "eval.fixed_levels: water level 1e+306 is above "
+
+
+def negative_fixed_level(data):
+    data["eval"]["fixed_levels"][2] = -1.0
+    return "eval.fixed_levels: water levels must be finite and non-negative"
+
+
 @pytest.mark.parametrize(
     "mutate,named",
     [
@@ -225,6 +236,8 @@ def huge_reset(data):
         (fractional_episodes, "2.7"),
         (huge_population, "2**53"),
         (huge_reset, "equity score"),
+        (huge_fixed_levels, "equity score"),
+        (negative_fixed_level, ""),
     ],
 )
 def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
@@ -372,6 +385,20 @@ def test_evaluate_local_fixed_scenario(tmp_path, quick_config_path, capsys):
     assert series[0][:4] == ["step", "reward", "running_average", "violation"]
     assert summary[1][0] == "local"
     assert float(summary[1][1]) == 0.0  # the baseline is the eps=0 behaviour
+
+
+def test_evaluate_with_fixed_levels_above_the_cap_is_a_clean_error(
+    tmp_path, quick_config_path, capsys
+):
+    data = json.loads(quick_config_path.read_text())
+    huge_fixed_levels(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["evaluate", "--config", str(bad), "--model", "local",
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: eval.fixed_levels: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_evaluate_model_and_aggregate_mode(tmp_path, quick_config_path):

@@ -30,7 +30,8 @@ from equiflow import (
     score_actions,
 )
 from equiflow.env import successors
-from helpers import random_legal_action, random_walk_states, reference_transition, road_graphs
+from helpers import (random_legal_action, random_walk_states, reference_equity, reference_transition,
+                     road_graphs)
 
 QUANTA = (0, 15000, 30000, 45000, 60000)
 
@@ -135,41 +136,93 @@ def consume_each(levels, config):
                  for x, v in zip(levels, config.villages))
 
 
+def hexes(values):
+    return [x.hex() for x in values]
+
+
 SUBNORMALS = (5e-324, 2.225073858507201e-308)
 
 
-@st.composite
-def villages_and_levels(draw):
-    """1-12 villages, each level at 0, at a threshold or a rate, one ulp
-    either side of one, subnormal, or anywhere up to 1e6."""
-    rates = st.floats(0.0, 1e3) | st.sampled_from(SUBNORMALS)
-    n = draw(st.integers(1, 12))
-    villages = [
-        VillageSpec(i, draw(st.integers(1, 5000)), draw(rates), draw(rates),
-                    draw(st.floats(0.0, 1e6)))
-        for i in range(n)
-    ]
+def edge_levels(draw, villages, offset=lambda v: 0.0):
+    """Per village: 0, a threshold or a rate (less ``offset``), one ulp either
+    side of one, subnormal, or anywhere up to 1e6; or all 0.0."""
+    if draw(st.integers(0, 9)) == 0:
+        return (0.0,) * len(villages)
     levels = []
     for v in villages:
-        edge = draw(st.sampled_from((v.threshold, v.base_rate, v.high_rate)))
+        edge = max(0.0, draw(st.sampled_from((v.threshold, v.base_rate, v.high_rate))) - offset(v))
         levels.append(draw(
             st.sampled_from((0.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
                              *SUBNORMALS))
             | st.floats(0.0, 1e6)
         ))
-    return star_config(villages), tuple(levels)
+    return tuple(levels)
+
+
+@st.composite
+def village_lists(draw):
+    """1-12 villages with rates at zero, subnormal or up to 1e3."""
+    rates = st.floats(0.0, 1e3) | st.sampled_from(SUBNORMALS)
+    return [
+        VillageSpec(i, draw(st.integers(1, 5000)), draw(rates), draw(rates),
+                    draw(st.floats(0.0, 1e6)))
+        for i in range(draw(st.integers(1, 12)))
+    ]
+
+
+@st.composite
+def villages_and_levels(draw):
+    villages = draw(village_lists())
+    return villages, edge_levels(draw, villages)
 
 
 @settings(max_examples=300, deadline=None)
 @given(villages_and_levels())
-def test_compiled_consumption_is_bit_equal_to_consume(world):
-    config, levels = world
-    consumed = config._consume_all(levels)
+def test_base_expansion_is_bit_equal_to_consume_and_the_scorer(world):
+    villages, levels = world
+    config = star_config(villages)
+    consumed, terms, score = config._expand(levels)
     assert type(consumed) is tuple
-    assert [x.hex() for x in consumed] == [x.hex() for x in consume_each(levels, config)]
+    assert hexes(consumed) == hexes(consume_each(levels, config))
+    assert score.hex() == reference_equity(consumed, config.populations).hex()
 
 
-def test_compiled_consumption_builds_for_200_villages_in_under_a_second():
+@st.composite
+def kernel_states(draw):
+    """A state of a 1-12-village world where every village has a road to every
+    other node, so that every village takes every quantum of a load.  Levels
+    come from ``edge_levels``, some one quantum per inhabitant below an edge."""
+    villages = draw(village_lists())
+    n = len(villages)
+    nodes = range(SOURCE, n)
+    quantum = draw(st.integers(1, 20_000))
+    config = EnvConfig(
+        villages=tuple(villages),
+        network=RoadNetwork.from_edges([(a, b) for a in nodes for b in nodes if a != b], range(n)),
+        capacity=quantum * draw(st.integers(1, 4)),
+        delivery_quantum=quantum,
+    )
+    below = draw(st.booleans())
+    levels = edge_levels(draw, villages, lambda v: quantum / v.population if below else 0.0)
+    load = quantum * draw(st.integers(0, config.capacity // quantum))
+    # A lone village is a dead end: a truck there must be empty.
+    position = draw(st.sampled_from(nodes)) if n > 1 or load == 0 else SOURCE
+    return config, WorldState(levels, position, load, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_states())
+def test_successor_table_is_bit_equal_to_reference_equity(world):
+    config, s = world
+    table = successors(s, config)
+    assert list(table) == list(available_actions(s, config))
+    for action, (levels, score) in table.items():
+        expected = reference_transition(s, action, config).levels
+        assert hexes(levels) == hexes(expected)
+        assert score.hex() == reference_equity(expected, config.populations).hex()
+
+
+def test_base_expansion_and_a_lift_build_for_200_villages_in_under_a_second():
     rng = random.Random(5)
     config = star_config([
         VillageSpec(i, rng.randint(1, 5000), rng.uniform(0.0, 10.0), rng.uniform(0.0, 100.0),
@@ -177,10 +230,27 @@ def test_compiled_consumption_builds_for_200_villages_in_under_a_second():
         for i in range(200)
     ])
     start = time.perf_counter()
-    consume_all = config._consume_all
+    expand = config._expand
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    lift = config._lift(117)
     assert time.perf_counter() - start < 1.0
     levels = tuple(rng.uniform(0.0, 700.0) for _ in range(200))
-    assert consume_all(levels) == consume_each(levels, config)
+    consumed, terms, score = expand(levels)
+    assert consumed == consume_each(levels, config)
+    assert score == reference_equity(consumed, config.populations)
+    lifted = list(levels)
+    lifted[117] += 30000 / config.populations[117]
+    expected = consume_each(lifted, config)
+    assert lift(lifted[117], consumed, terms) == (
+        expected, reference_equity(expected, config.populations))
+
+
+def test_star_map_of_200_villages_validates_in_under_0_2_s():
+    edges = [e for v in range(200) for e in ((SOURCE, v), (v, SOURCE))]
+    start = time.perf_counter()
+    RoadNetwork.from_edges(edges, range(200))
+    assert time.perf_counter() - start < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +292,22 @@ def test_illegal_action_raises(env_cfg):
         predict_transition(s, Action(2, 15000), env_cfg)  # no edge source->2
     with pytest.raises(IllegalActionError):
         predict_transition(s, Action(SOURCE, 0), env_cfg)  # loaded truck
+
+
+@pytest.mark.parametrize("action", [
+    Action(1, 15000.0), Action(1.0, 15000), Action(True, 15000), Action(1, False),
+])
+def test_action_fields_must_be_ints(env_cfg, action):
+    # Each is equal to a legal action, whose fields would go into the state.
+    s = state((0, 300, 200, 200))
+    assert action in available_actions(s, env_cfg)
+    with pytest.raises(IllegalActionError, match="int"):
+        predict_transition(s, action, env_cfg)
+    ep = Episode(env_cfg)
+    ep.reset_to(s)
+    with pytest.raises(IllegalActionError, match="int"):
+        ep.step(action)
+    assert ep.state is s
 
 
 def test_transition_is_pure(env_cfg):
