@@ -28,7 +28,6 @@ from .env import (
     VillageSpec,
     WorldState,
     available_actions,
-    consume,
     predict_transition,
 )
 from .equity import make_equity_scorer

@@ -23,6 +23,7 @@ from .env import ConfigurationError, EnvConfig, WorldState
 from .evaluate import (
     LocalPolicy,
     ModelPolicy,
+    RolloutError,
     SummaryRow,
     aggregate_runs,
     run_episode,
@@ -107,7 +108,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     policy, eps_train = _build_policy(args.model, config)
     eps_eval, tau = config.eval.epsilon_eval, config.hyper.tau
     if config.eval.mode == "fixed":
-        traj, metrics = run_episode(policy, env, initial, eps_eval, tau)
+        try:
+            traj, metrics = run_episode(policy, env, initial, eps_eval, tau)
+        except RolloutError as exc:
+            raise RolloutError(f"reference run: {exc}") from None
         stats = metrics.score, metrics.violation_ratio, float(traj.length)
     else:
         agg = aggregate_runs(policy, env, config.eval.n_runs, config.seed, eps_eval, tau, initial)
@@ -190,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, RolloutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

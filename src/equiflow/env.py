@@ -20,8 +20,9 @@ score's village and pair terms and the score of the consumed levels, shared
 by every zero-litre and source move.  A delivery changes only its
 destination: that village's lift, compiled on its first delivery, consumes
 from the lifted level, recomputes the village's ``n`` terms and sums them
-with the other term values in the scorer's order, so every score is
-bit-equal to ``EnvConfig.equity_of`` of the level vector.  The table holds
+with the other term values.  ``equity.compile_scorer`` writes the terms
+and their sum for both, as for ``EnvConfig.equity_of``, so every score is
+bit-equal to ``equity_of`` of the level vector.  The table holds
 levels and equity only; a ``WorldState`` is built for the one action a step
 commits.  The last state's table stays on the config, keyed by
 object identity, so scoring a state and stepping from it cost one pass
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equity import make_equity_scorer, score_statements
+from .equity import compile_scorer, make_equity_scorer, term_names
 
 SOURCE = -1
 
@@ -50,7 +51,7 @@ __all__ = [
     "SOURCE", "ConfigurationError", "EmptyActionSetError", "LevelOverflowError",
     "InvalidStateError", "IllegalActionError", "EpisodeFinishedError", "VillageSpec",
     "RoadNetwork", "RandomReset", "EnvConfig", "WorldState", "Action", "StepOutcome", "Episode",
-    "available_actions", "consume", "predict_transition", "successors"
+    "available_actions", "predict_transition", "successors"
 ]
 
 
@@ -106,8 +107,8 @@ class VillageSpec:
             raise ConfigurationError(f"village {self.id}: population must be in [1, 2**53]")
         if not all(0.0 <= x < math.inf for x in (self.base_rate, self.high_rate, self.threshold)):
             raise ConfigurationError(f"village {self.id}: rates and threshold must be in [0, inf)")
-        # Floats, as a config file gives them, so that ``consume`` and the
-        # compiled consumer (which writes them in as literals) agree.
+        # Floats, as a config file gives them: the compiled kernel writes them
+        # in as literals, and float rates keep every consumed level a float.
         for name in ("base_rate", "high_rate", "threshold"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -273,53 +274,32 @@ class EnvConfig:
         its table, and the last state ``_successor`` built."""
         return [object(), {}, object()]
 
-    @cached_property
-    def _rate_table(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((v.base_rate, v.high_rate, v.threshold) for v in self.villages)
-
     def _compile_kernel(self, d: int | None = None) -> Callable:
         """Loop-free successor code: the base expansion, or the lift of village ``d``.
 
-        The base expansion maps ``levels`` to ``(consumed levels, terms,
-        equity of the consumed levels)``: every village consumes as ``consume``
-        does, then the equity score's village terms ``t{i}`` and pair terms
-        ``p{i}_{j}`` are computed and summed as ``equity_of`` does.  The lift of
-        ``d`` maps ``(lifted level of d, consumed levels, terms)`` to ``(next
-        levels, equity)``: village ``d`` consumes from its lifted level, its
-        ``n`` terms are computed again, and the score sums them with the other
-        term values as they are, in the same order.  Rates and weights are
-        written in as float literals; either function has O(villages**2)
-        statements.
+        The base expansion maps ``levels`` to ``(consumed levels, terms, their
+        equity)``: every village consumes, and ``compile_scorer`` scores the
+        result.  The lift of ``d`` maps ``(lifted level of d, consumed levels,
+        terms)`` to ``(next levels, equity)``: only village ``d`` consumes, and
+        only its terms are computed again.  A village consumes ``high_rate``
+        strictly above ``threshold``, else ``base_rate``, down to 0; the rates
+        are written in as float literals.  Each function is O(villages**2) code.
         """
-        n, w = self.n_villages, self.populations
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        village_terms, pair_terms = [f"t{i}" for i in range(n)], [f"p{i}_{j}" for i, j in pairs]
+        n = self.n_villages
         levels = "".join(f"c{i}, " for i in range(n))
-        terms = "".join(f"{t}, " for t in village_terms + pair_terms)
+        terms = "".join(f"{t}, " for t in term_names(n))
         if d is None:
-            head = ["def f(levels):", f"    {''.join(f'v{i}, ' for i in range(n))}= levels"]
-            sources = {i: f"v{i}" for i in range(n)}
-            tail, returning = [f"    terms = ({terms})"], "levels, terms, "
+            changed, returning, name = range(n), f"({levels}), ({terms}), ", "base expansion"
+            lines = ["def f(levels):", f"    {levels}= levels"]
         else:
-            head = ["def f(x, consumed, terms):", f"    {levels}= consumed", f"    {terms}= terms"]
-            sources = {d: "x"}
-            pairs = [pair for pair in pairs if d in pair]
-            tail, returning = [], "levels, "
-        lines = head
-        for i, x in sources.items():
-            base, high, threshold = self._rate_table[i]
-            lines += [
-                f"    c{i} = {x} - ({high!r} if {x} > {threshold!r} else {base!r})",
-                f"    c{i} = c{i} if c{i} > 0.0 else 0.0",
-            ]
-        lines += [f"    t{i} = {float(w[i])!r} * c{i}" for i in sources]
-        lines += [f"    p{i}_{j} = {float(w[i] * w[j])!r} * abs(c{i} - c{j})" for i, j in pairs]
-        lines += [f"    levels = ({levels})", *tail,
-                  *score_statements(village_terms, pair_terms, sum(w), returning)]
-        name = "base expansion" if d is None else f"lift {d}"
-        namespace: dict = {}
-        exec(compile("\n".join(lines), f"<{name} of {n}>", "exec"), namespace)
-        return namespace["f"]
+            changed, returning, name = (d,), f"({levels}), ", f"lift {d}"
+            lines = ["def f(x, consumed, terms):", f"    {levels}= consumed", f"    {terms}= terms",
+                     f"    c{d} = x"]
+        for i in changed:
+            v = self.villages[i]
+            rate = f"({v.high_rate!r} if c{i} > {v.threshold!r} else {v.base_rate!r})"
+            lines += [f"    c{i} = c{i} - {rate}", f"    c{i} = c{i} if c{i} > 0.0 else 0.0"]
+        return compile_scorer(f"{name} of {n}", lines, self.populations, changed, returning)
 
     @cached_property
     def _expand(self) -> Callable[[Sequence[float]], tuple[tuple[float, ...], tuple, float]]:
@@ -384,13 +364,6 @@ class EnvConfig:
             raise InvalidStateError(
                 f"load {state.load} must be a quantum multiple within [0, capacity]"
             )
-
-
-def consume(level: float, base: float, high: float, threshold: float) -> float:
-    """Level after one step: ``high`` strictly above ``threshold``, else ``base``; floor 0."""
-    rate = high if level > threshold else base
-    left = level - rate
-    return left if left > 0.0 else 0.0
 
 
 def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...]:

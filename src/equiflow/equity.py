@@ -8,15 +8,16 @@ identical to expanding the list person by person, and the test suite holds
 the two routes to within 1e-12 of each other.
 
 The scorer is compiled once per population vector into straight-line code
-that sums one term per village, then one per village pair, with the weights
-and their pairwise products written in as float literals.  The summation
-order is fixed: village terms in village order, then pairs ``(i, j)`` with
-``i < j`` in lexicographic order.  Trained models and evaluation outputs
-depend on these bits, and the test suite holds the scorer bit-equal to a
-plain loop in that order.  ``score_statements`` writes that sum once, for
-this scorer and for the successor kernel in ``env``, which scores many level
-vectors that differ in one village: it may reuse term values between them,
-never partial sums.  Do not reorder the terms or sum with ``sum()``
+that names one term per village, then one per village pair, with the weights
+and their pairwise products written in as float literals, and sums them.  The
+summation order is fixed: village terms in village order, then pairs
+``(i, j)`` with ``i < j`` in lexicographic order.  Trained models and
+evaluation outputs depend on these bits, and the test suite holds the scorer
+bit-equal to a plain loop in that order.  ``compile_scorer`` is the one
+writer of the terms and their sum, for this scorer and for the successor
+kernel in ``env``, which scores many level vectors that differ in one
+village: it recomputes only that village's terms and reuses the others'
+values, never partial sums.  Do not reorder the terms or sum with ``sum()``
 (compensated since Python 3.12).
 """
 from __future__ import annotations
@@ -40,35 +41,30 @@ def make_equity_scorer(weights: Sequence[int]) -> Callable[[Sequence[float]], fl
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
     n = len(weights)
-    # Only reprs of floats made from the validated ints go into the source.
-    lines = [
-        "def score(values):",
-        f"    {''.join(f'v{i}, ' for i in range(n))}= values",
-        *score_statements(
-            [f"{float(w)!r} * v{i}" for i, w in enumerate(weights)],
-            [
-                f"{float(weights[i] * weights[j])!r} * abs(v{i} - v{j})"
-                for i in range(n)
-                for j in range(i + 1, n)
-            ],
-            sum(weights),
-        ),
-    ]
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<equity scorer, {n} villages>", "exec"), namespace)
-    return namespace["score"]
+    head = ["def f(values):", f"    {''.join(f'c{i}, ' for i in range(n))}= values"]
+    return compile_scorer(f"equity scorer, {n} villages", head, weights, range(n))
 
 
-def score_statements(
-    village_terms: Sequence[str], pair_terms: Sequence[str], weight_sum: int, returning: str = ""
-) -> list[str]:
-    """Function-body lines that sum the given term expressions in the fixed order
-    and return ``returning`` followed by the equity score.
+def term_names(n: int) -> list[str]:
+    """The village terms' names ``t{i}``, then the pair terms' ``p{i}_{j}``, in summation order."""
+    return [f"t{i}" for i in range(n)] + [f"p{i}_{j}" for i in range(n) for j in range(i + 1, n)]
 
-    ``village_terms`` are the ``w_i * v_i`` terms in village order and
-    ``pair_terms`` the ``w_i * w_j * abs(v_i - v_j)`` terms with ``i < j`` in
-    lexicographic order; each is a name or an expression.
+
+def compile_scorer(
+    label: str, head: list[str], weights: Sequence[int], changed: Sequence[int], returning: str = ""
+) -> Callable:
+    """The function ``f`` that the lines ``head`` begin, finished by code that
+    scores the levels ``c{i}`` and returns ``returning`` followed by the score.
+
+    That code computes the village term ``t{i} = w_i * c{i}`` and the pair
+    terms ``p{i}_{j} = w_i*w_j * abs(c{i} - c{j})`` of each village in
+    ``changed`` (``head`` binds the other villages' terms), then sums all terms
+    in the fixed order.  Only reprs of floats made from the weights, which
+    must be ints, go into the source.
     """
+    n = len(weights)
+    names = term_names(n)
+
     def summing(name: str, terms: Sequence[str]) -> list[str]:
         # Left to right from 0.0, as repeated ``+=`` would, in statements of at
         # most _CHAIN terms: one chained expression over the 19,900 pairs of
@@ -78,13 +74,20 @@ def score_statements(
             for k in range(0, max(len(terms), 1), _CHAIN)
         ]
 
-    return [
-        *summing("total", village_terms),
+    lines = [
+        *head,
+        *(f"    t{i} = {float(weights[i])!r} * c{i}" for i in changed),
+        *(f"    p{i}_{j} = {float(weights[i] * weights[j])!r} * abs(c{i} - c{j})"
+          for i in range(n) for j in range(i + 1, n) if i in changed or j in changed),
+        *summing("total", names[:n]),
         # Nobody has any water: maximally inequitable by convention.  Treating
         # the drained state as perfectly equal would make it an absorbing
         # one-step optimum that starves every policy.
         "    if total == 0.0:",
         f"        return {returning}0.0",
-        *summing("spread", pair_terms),
-        f"    return {returning}1.0 - spread / ({float(weight_sum)!r} * total)",
+        *summing("spread", names[n:]),
+        f"    return {returning}1.0 - spread / ({float(sum(weights))!r} * total)",
     ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)
+    return namespace["f"]

@@ -21,6 +21,7 @@ from .env import Action, EnvConfig, Episode, WorldState
 from .qlearn import QModel, _argmax_q, levelise
 
 __all__ = [
+    "RolloutError",
     "Trajectory",
     "RunMetrics",
     "Policy",
@@ -35,6 +36,10 @@ __all__ = [
     "write_compare_series_csv",
     "SummaryRow",
 ]
+
+
+class RolloutError(RuntimeError):
+    """A rollout cannot finish: it revisited a state or ran past its step limit."""
 
 
 @dataclass
@@ -103,7 +108,7 @@ def run_episode(
 ) -> tuple[Trajectory, RunMetrics]:
     """Roll the policy greedily from ``initial`` until the budget is delivered.
 
-    Raises RuntimeError if the rollout revisits a state or exceeds ``max_steps``.
+    Raises RolloutError if the rollout revisits a state or exceeds ``max_steps``.
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
@@ -118,12 +123,12 @@ def run_episode(
     delivered = state.distributed_total
     while not episode.done:
         if traj.length >= max_steps:
-            raise RuntimeError(f"episode exceeded {max_steps} steps without finishing")
+            raise RolloutError(f"policy {policy.name} exceeded {max_steps} steps without finishing")
         if state.distributed_total != delivered:
             delivered = state.distributed_total
             seen.clear()
         elif state in seen:
-            raise RuntimeError(
+            raise RolloutError(
                 f"policy {policy.name} revisited a state at step {traj.length}; "
                 "the rollout would never finish"
             )
@@ -194,23 +199,28 @@ def aggregate_runs(
     """Evaluate over random initial states; per-run seeds derive from ``seed``.
 
     The reference run from ``reference_initial`` sets the series crop length.
-    Metrics are averaged over original (uncropped, unpadded) run lengths.
+    Metrics are averaged over original (uncropped, unpadded) run lengths.  A
+    RolloutError names its run: ``reference run`` or ``run k (seed s)``, k from 0.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    ref_traj, ref_metrics = run_episode(policy, config, reference_initial, epsilon_eval, tau)
+
+    def run(name: str, initial: WorldState) -> tuple[Trajectory, RunMetrics]:
+        try:
+            return run_episode(policy, config, initial, epsilon_eval, tau)
+        except RolloutError as exc:
+            raise RolloutError(f"{name}: {exc}") from None
+
+    ref_traj, ref_metrics = run("reference run", reference_initial)
     master = random.Random(seed)
     run_seeds = [master.randrange(2**63) for _ in range(n_runs)]
 
     series: list[list[float]] = []
     runs: list[RunMetrics] = []
-    lengths: list[int] = []
-    for run_seed in run_seeds:
-        initial = Episode(config, seed=run_seed).reset()
-        traj, metrics = run_episode(policy, config, initial, epsilon_eval, tau)
+    for k, run_seed in enumerate(run_seeds):
+        traj, metrics = run(f"run {k} (seed {run_seed})", Episode(config, seed=run_seed).reset())
         series.append(traj.rewards)
         runs.append(metrics)
-        lengths.append(traj.length)
 
     normalized = normalize_series(series, ref_traj.length)
     mean_series = [sum(col) / n_runs for col in zip(*normalized)]
@@ -218,7 +228,7 @@ def aggregate_runs(
         mean_series=mean_series,
         mean_score=sum(m.score for m in runs) / n_runs,
         mean_violation_ratio=sum(m.violation_ratio for m in runs) / n_runs,
-        mean_length=sum(lengths) / n_runs,
+        mean_length=sum(map(len, series)) / n_runs,
         reference_length=ref_traj.length,
         reference_trajectory=ref_traj,
         reference_metrics=ref_metrics,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -478,7 +479,8 @@ def as_int(value: object) -> int:
 
 def as_float(value: object) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if math.isfinite(value):
+        # False for NaN, the infinities and ints too large for a float.
+        if abs(value) <= sys.float_info.max:
             return float(value)
         raise ValueError(f"expected a finite number, got {value!r}")
     raise ValueError(f"expected a number, got {value!r}")

@@ -115,6 +115,13 @@ def random_legal_action(state: WorldState, config: EnvConfig, rng: random.Random
     return acts[rng.randrange(len(acts))]
 
 
+def consume(level: float, base: float, high: float, threshold: float) -> float:
+    """Level after one step: ``high`` strictly above ``threshold``, else ``base``; floor 0."""
+    rate = high if level > threshold else base
+    left = level - rate
+    return left if left > 0.0 else 0.0
+
+
 def reference_transition(state: WorldState, action: Action, config: EnvConfig) -> WorldState:
     """One step the direct way: copy the levels, add the delivery per
     inhabitant at the destination, then let every village consume."""
@@ -126,11 +133,9 @@ def reference_transition(state: WorldState, action: Action, config: EnvConfig) -
         load = state.load - dispense
         if dispense:
             levels[dest] += dispense / config.villages[dest].population
-    consumed = []
-    for level, village in zip(levels, config.villages):
-        left = level - (village.high_rate if level > village.threshold else village.base_rate)
-        consumed.append(left if left > 0.0 else 0.0)
-    return WorldState(tuple(consumed), dest, load, state.distributed_total + dispense)
+    consumed = tuple(consume(level, v.base_rate, v.high_rate, v.threshold)
+                     for level, v in zip(levels, config.villages))
+    return WorldState(consumed, dest, load, state.distributed_total + dispense)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,11 @@ from equiflow import (
     ExperimentConfig,
     Hyperparams,
     LevelParams,
+    QModel,
     RandomReset,
     RoadNetwork,
     VillageSpec,
+    save_model,
 )
 from equiflow.cli import main
 from equiflow.config import config_from_dict, config_to_dict, default_config, dump_config
@@ -313,6 +316,13 @@ def nan_reward_estimate(doc):
     return "lagrange.reward_estimate: expected a finite number, got nan"
 
 
+def huge_int_q_value(doc):
+    state, row = next(iter(doc["qa"].items()))
+    action = next(iter(row))
+    row[action] = 10**400  # beyond float range
+    return f"qa: state {state!r}: action {action!r}: expected a finite number, got 1000"
+
+
 def unknown_version(doc):
     doc["version"] = 3
     return "model file version 3 is not supported; this build reads versions [1, 2]"
@@ -320,7 +330,8 @@ def unknown_version(doc):
 
 @pytest.mark.parametrize("mutate", [unknown_model_key, unknown_lagrange_key, state_group_as_list,
                                     malformed_action_key, non_numeric_value, nan_q_value,
-                                    infinite_avg_reward, nan_reward_estimate, unknown_version])
+                                    huge_int_q_value, infinite_avg_reward, nan_reward_estimate,
+                                    unknown_version])
 def test_model_with_unknown_key_is_a_clean_error(tmp_path, quick_config_path, capsys, mutate):
     data = json.loads(quick_config_path.read_text())
     data["policy_kind"] = "ecadql"  # a model with a Lagrange block
@@ -399,6 +410,19 @@ def test_evaluate_with_fixed_levels_above_the_cap_is_a_clean_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: eval.fixed_levels: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--model"], ["compare"]],
+                         ids=["evaluate", "compare"])
+def test_a_cycling_model_is_a_clean_error(tmp_path, capsys, command):
+    # With every action admissible, an empty Q-table takes the first action,
+    # a zero-litre move, at every state, until the drained levels repeat one.
+    model_path = tmp_path / "empty.json"
+    save_model(QModel(default_config().hyper), model_path)
+    assert main([*command, str(model_path), "--eps-eval", "1.0", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: reference run: policy eadql revisited a state at step \d+; "
+                        r"the rollout would never finish\n", err)
 
 
 def test_evaluate_model_and_aggregate_mode(tmp_path, quick_config_path):

@@ -24,14 +24,13 @@ from equiflow import (
     VillageSpec,
     WorldState,
     available_actions,
-    consume,
     predict_transition,
     run_episode,
     score_actions,
 )
 from equiflow.env import successors
-from helpers import (random_legal_action, random_walk_states, reference_equity, reference_transition,
-                     road_graphs)
+from helpers import (consume, random_legal_action, random_walk_states, reference_equity,
+                     reference_transition, road_graphs)
 
 QUANTA = (0, 15000, 30000, 45000, 60000)
 
@@ -105,7 +104,7 @@ def test_stranded_truck_is_a_configuration_error():
 
 
 # ---------------------------------------------------------------------------
-# consume
+# consumption
 
 @pytest.mark.parametrize(
     "village_id,level,expected",
@@ -119,9 +118,10 @@ def test_stranded_truck_is_a_configuration_error():
     ],
 )
 def test_consume_rates(env_cfg, village_id, level, expected):
-    v = env_cfg.villages[village_id]
-    left = consume(level, v.base_rate, v.high_rate, v.threshold)
-    assert left == pytest.approx(expected, abs=1e-12)
+    levels = [0.0] * env_cfg.n_villages
+    levels[village_id] = level
+    consumed, _, _ = env_cfg._expand(tuple(levels))
+    assert consumed[village_id] == pytest.approx(expected, abs=1e-12)
 
 
 def star_config(villages):

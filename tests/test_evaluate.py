@@ -20,7 +20,8 @@ from equiflow import (
     run_episode,
     train_eadql,
 )
-from equiflow.evaluate import SummaryRow, compute_metrics, write_series_csv, write_summary_csv
+from equiflow.evaluate import (RolloutError, SummaryRow, compute_metrics, write_series_csv,
+                               write_summary_csv)
 from equiflow.qlearn import Hyperparams
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
@@ -123,6 +124,23 @@ def test_run_episode_stops_a_cycling_policy_at_the_first_revisit(quick_env):
         run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7)
     step = int(re.search(r"step (\d+)", str(info.value)).group(1))
     assert step < 500
+
+
+def test_aggregate_runs_names_the_random_run_that_cycles(quick_env):
+    reference = {EVAL_START, *run_episode(LocalPolicy(), quick_env, EVAL_START, 1.0, 0.7)[0].states}
+
+    class LoiterOffTheReferenceRun(Loiter):
+        """Local along the reference run, so that run finishes; Loiter from anywhere else."""
+
+        def choose(self, state, admissible):
+            if state in reference:
+                return LocalPolicy().choose(state, admissible)
+            return super().choose(state, admissible)
+
+    run_seed = random.Random(5).randrange(2**63)
+    with pytest.raises(RolloutError, match=rf"^run 0 \(seed {run_seed}\): policy loiter revisited "
+                                           r"a state at step \d+"):
+        aggregate_runs(LoiterOffTheReferenceRun(), quick_env, 3, 5, 1.0, 0.7, EVAL_START)
 
 
 def test_run_episode_rejects_inadmissible_choice(quick_env):
