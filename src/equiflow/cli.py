@@ -79,6 +79,10 @@ def _build_policy(spec: str, config: ExperimentConfig):
         raise ConfigurationError(
             f"{spec}: model level bands differ from the config's; refusing to evaluate"
         )
+    counts = {len(key.levels) for table in (model.qa, model.qb) for key in table}
+    if counts - {config.env.n_villages}:
+        raise ConfigurationError(f"{spec}: model states have {sorted(counts)} villages, the config's "
+                                 f"world has {config.env.n_villages}; refusing to evaluate")
     return ModelPolicy(model), model.hyper.epsilon
 
 

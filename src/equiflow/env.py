@@ -14,19 +14,19 @@ water.  Movement rules:
 An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
 
-``successors`` is the one copy of the dynamics.  Per state, a base expansion
-compiled once per world lets every village consume and computes the equity
-score's village and pair terms and the score of the consumed levels, shared
-by every zero-litre and source move.  A delivery changes only its
-destination: that village's lift, compiled on its first delivery, consumes
-from the lifted level, recomputes the village's ``n`` terms and sums them
-with the other term values.  ``equity.compile_scorer`` writes the terms
+``successors`` is the one copy of the dynamics; it steps through the actions
+``available_actions`` returns.  Per state, a base expansion compiled once per
+world lets every village consume and computes the equity score's village and
+pair terms and the score of the consumed levels, shared by every zero-litre
+and source move.  A delivery changes only its destination: that village's
+lift, compiled on its first delivery, takes ``(levels, dispense, consumed,
+terms)``, lifts and consumes the village, recomputes its ``n`` terms and sums
+them with the other term values.  ``equity.compile_scorer`` writes the terms
 and their sum for both, as for ``EnvConfig.equity_of``, so every score is
-bit-equal to ``equity_of`` of the level vector.  The table holds
-levels and equity only; a ``WorldState`` is built for the one action a step
-commits.  The last state's table stays on the config, keyed by
-object identity, so scoring a state and stepping from it cost one pass
-together.
+bit-equal to ``equity_of`` of the level vector.  The table holds levels and
+equity only; a ``WorldState`` is built for the one action a step commits.
+The last state's table stays on the config, keyed by object identity, so
+scoring a state and stepping from it cost one pass together.
 
 States are validated where they enter: reset states and any state a caller
 builds.  The state the kernel last committed is made from a validated one and
@@ -234,6 +234,13 @@ class EnvConfig:
             raise ConfigurationError("capacity and delivery quantum must be positive")
         if self.capacity % self.delivery_quantum != 0:
             raise ConfigurationError("capacity must be a multiple of the delivery quantum")
+        # Entries of ``_action_table``, counted per edge; 10**6 of them take about 200 MB.
+        loads = self.capacity // self.delivery_quantum + 1
+        entries = sum(1 if b == SOURCE else loads if self.network.is_dead_end(b) else
+                      loads * (loads + 1) // 2 for _, b in self.network.edges)
+        if entries > 10**6:
+            raise ConfigurationError(f"capacity {self.capacity} in quanta of delivery_quantum "
+                                     f"{self.delivery_quantum} gives {entries} legal actions, above 10**6")
         if self.total_to_distribute <= 0:
             raise ConfigurationError("total_to_distribute must be positive")
         if not self.reset_mode.high <= self._level_cap:
@@ -279,11 +286,12 @@ class EnvConfig:
 
         The base expansion maps ``levels`` to ``(consumed levels, terms, their
         equity)``: every village consumes, and ``compile_scorer`` scores the
-        result.  The lift of ``d`` maps ``(lifted level of d, consumed levels,
-        terms)`` to ``(next levels, equity)``: only village ``d`` consumes, and
-        only its terms are computed again.  A village consumes ``high_rate``
-        strictly above ``threshold``, else ``base_rate``, down to 0; the rates
-        are written in as float literals.  Each function is O(villages**2) code.
+        result.  The lift of ``d`` maps ``(levels, dispense, consumed levels,
+        terms)`` to ``(next levels, equity)``: ``d`` gains ``dispense /
+        population`` (int over int), only it consumes, and only its terms are
+        computed again.  A village consumes ``high_rate`` strictly above
+        ``threshold``, else ``base_rate``, down to 0; the rates are written in
+        as float literals.  Each function is O(villages**2) code.
         """
         n = self.n_villages
         levels = "".join(f"c{i}, " for i in range(n))
@@ -293,8 +301,8 @@ class EnvConfig:
             lines = ["def f(levels):", f"    {levels}= levels"]
         else:
             changed, returning, name = (d,), f"({levels}), ", f"lift {d}"
-            lines = ["def f(x, consumed, terms):", f"    {levels}= consumed", f"    {terms}= terms",
-                     f"    c{d} = x"]
+            lines = ["def f(levels, dispense, consumed, terms):", f"    {levels}= consumed",
+                     f"    {terms}= terms", f"    c{d} = levels[{d}] + dispense / {self.populations[d]!r}"]
         for i in changed:
             v = self.villages[i]
             rate = f"({v.high_rate!r} if c{i} > {v.threshold!r} else {v.base_rate!r})"
@@ -336,17 +344,6 @@ class EnvConfig:
                 table[(pos, load)] = tuple(acts)
         return table
 
-    @cached_property
-    def _deliveries(self) -> dict[tuple[int, int], tuple[tuple[Action, int, float], ...]]:
-        """``_action_table`` with each action's destination and its increment
-        ``dispense / population`` of the destination's level (0.0 for none)."""
-        pops = self.populations
-        return {
-            key: tuple((a, a.destination, a.dispense / pops[a.destination] if a.dispense else 0.0)
-                       for a in acts)
-            for key, acts in self._action_table.items()
-        }
-
     def validate_state(self, state: WorldState) -> None:
         if state is self._successor_memo[2]:
             return  # committed by the kernel from a validated state
@@ -384,7 +381,7 @@ def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...
 def successors(
     state: WorldState, config: EnvConfig
 ) -> dict[Action, tuple[tuple[float, ...], float]]:
-    """``{action: (next levels, their equity)}`` for every legal action, in action order.
+    """``{action: (next levels, their equity)}`` for each of ``available_actions``, in order.
 
     Move and dispense, then every village consumes.  Only the level vectors are
     built; ``predict_transition`` and ``Episode.step`` make the ``WorldState``
@@ -394,17 +391,16 @@ def successors(
     memo = config._successor_memo
     if memo[0] is state:
         return memo[1]
-    available_actions(state, config)
+    actions = available_actions(state, config)
     levels = state.levels
     consumed, terms, base_score = config._expand(levels)
+    base = consumed, base_score
     lifts = config._lifts
     table = {}
-    for action, dest, increment in config._deliveries[(state.position, state.load)]:
-        if increment:
-            lift = lifts[dest] or config._lift(dest)
-            table[action] = lift(levels[dest] + increment, consumed, terms)
-        else:
-            table[action] = (consumed, base_score)
+    for action in actions:
+        dest, dispense = action
+        table[action] = ((lifts[dest] or config._lift(dest))(levels, dispense, consumed, terms)
+                         if dispense else base)
     memo[0], memo[1] = state, table
     return table
 

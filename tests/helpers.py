@@ -1,6 +1,7 @@
-"""Independent reference implementations and state generators for tests.
+"""Independent reference implementations, state generators and a lookahead
+planner for tests.
 
-Everything here deliberately avoids the library's own computation paths so
+The references deliberately avoid the library's own computation paths so
 that agreement between the two is meaningful.
 """
 from __future__ import annotations
@@ -13,7 +14,17 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from equiflow import SOURCE, Action, Episode, EnvConfig, WorldState, available_actions
+from equiflow import (
+    SOURCE,
+    Action,
+    Episode,
+    EnvConfig,
+    WorldState,
+    admissible_from,
+    available_actions,
+    is_violation,
+    score_actions,
+)
 
 
 def expanded_gini_rank(values, weights) -> float:
@@ -136,6 +147,46 @@ def reference_transition(state: WorldState, action: Action, config: EnvConfig) -
     consumed = tuple(consume(level, v.base_rate, v.high_rate, v.threshold)
                      for level, v in zip(levels, config.villages))
     return WorldState(consumed, dest, load, state.distributed_total + dispense)
+
+
+class LookaheadPolicy:
+    """Depth-``depth`` planner inside the ``epsilon``-admissible sets.
+
+    It takes the admissible action whose best continuation through admissible
+    actions has the fewest violations (equity below ``tau``) in the next
+    ``depth`` steps, its own step included, and a continuation stops where the
+    water budget runs out.  Ties go to the higher one-step score, then to the
+    first action in order, so depth 1 chooses as ``LocalPolicy`` does.
+    """
+
+    def __init__(self, config: EnvConfig, depth: int, epsilon: float, tau: float) -> None:
+        self.config, self.depth, self.epsilon, self.tau = config, depth, epsilon, tau
+        self.name = f"lookahead{depth}"
+
+    def _fewest(self, state: WorldState, depth: int, bound: int) -> int:
+        """Fewest violations in ``depth`` steps from ``state``, or ``bound`` if none is fewer."""
+        if depth == 0 or state.distributed_total >= self.config.total_to_distribute:
+            return 0
+        best = bound
+        for sa in admissible_from(score_actions(state, self.config), self.epsilon):
+            own = is_violation(sa.successor_alignment, self.tau)
+            if own < best:
+                nxt = reference_transition(state, sa.action, self.config)
+                best = own + self._fewest(nxt, depth - 1, best - own)
+            if best == 0:
+                break
+        return best
+
+    def choose(self, state: WorldState, admissible) -> Action:
+        best_key, choice = None, None
+        for sa in admissible:
+            own = is_violation(sa.successor_alignment, self.tau)
+            bound = self.depth + 1 if best_key is None else best_key[0] + 1
+            nxt = reference_transition(state, sa.action, self.config)
+            key = (own + self._fewest(nxt, self.depth - 1, bound - own), -sa.successor_alignment)
+            if best_key is None or key < best_key:
+                best_key, choice = key, sa.action
+        return choice
 
 
 @st.composite

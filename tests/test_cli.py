@@ -220,6 +220,12 @@ def negative_fixed_level(data):
     return "eval.fixed_levels: water levels must be finite and non-negative"
 
 
+def action_table_above_the_cap(data):
+    # 577 loads a truck on the default map give 1,001,675 legal actions, just above 10**6.
+    data["env"]["capacity"] = 576 * data["env"]["delivery_quantum"]
+    return "env: capacity 8640000 in quanta of delivery_quantum 15000 gives 1001675 legal actions"
+
+
 @pytest.mark.parametrize(
     "mutate,named",
     [
@@ -241,6 +247,7 @@ def negative_fixed_level(data):
         (huge_reset, "equity score"),
         (huge_fixed_levels, "equity score"),
         (negative_fixed_level, ""),
+        (action_table_above_the_cap, "10**6"),
     ],
 )
 def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
@@ -250,10 +257,11 @@ def test_config_with_missing_or_mistyped_entry_is_a_clean_error(
     key_path = mutate(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "m.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: {key_path}") and named in err
-    assert "Traceback" not in err and len(err.splitlines()) == 1
+    for command in (["dump-config"], ["train", "--out", str(tmp_path / "m.json")]):
+        assert main([*command, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {key_path}") and named in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_model_without_q_table_is_a_clean_error(tmp_path, quick_config_path, capsys):
@@ -425,6 +433,37 @@ def test_a_cycling_model_is_a_clean_error(tmp_path, capsys, command):
                         r"the rollout would never finish\n", err)
 
 
+def fewer_villages(data):
+    # Village 3 and its roads removed: no key of a 4-village model can match a state.
+    data["env"]["villages"].pop()
+    data["env"]["edges"] = [edge for edge in data["env"]["edges"] if 3 not in edge]
+    data["eval"]["fixed_levels"].pop()
+    return "model states have [4] villages, the config's world has 3; refusing to evaluate"
+
+
+def more_hidden_bands(data):
+    data["hyper"]["levels"]["hidden"] = 7
+    return "model level bands differ from the config's; refusing to evaluate"
+
+
+@pytest.mark.parametrize("mismatch", [fewer_villages, more_hidden_bands])
+@pytest.mark.parametrize("command", [["evaluate", "--model"], ["compare"]],
+                         ids=["evaluate", "compare"])
+def test_a_model_for_another_world_is_a_clean_error(
+    tmp_path, quick_config_path, capsys, command, mismatch
+):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(quick_config_path), "--out", str(model_path)]) == 0
+    data = json.loads(quick_config_path.read_text())
+    message = mismatch(data)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([*command, str(model_path), "--config", str(other),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {model_path}: {message}\n"
+
+
 def test_evaluate_model_and_aggregate_mode(tmp_path, quick_config_path):
     model_path = tmp_path / "model.json"
     assert main(["train", "--config", str(quick_config_path), "--out", str(model_path)]) == 0
@@ -454,18 +493,6 @@ def test_tau_zero_config_trains_and_evaluates(tmp_path, quick_config_path):
         summary = read_csv(out / "summary.csv")
         assert float(summary[1][3]) == 0.0 and float(summary[1][5]) == 0.0
         assert {row[3] for row in read_csv(out / "series.csv")[1:]} == {"0"}
-
-
-def test_evaluate_rejects_level_param_mismatch(tmp_path, quick_config_path, capsys):
-    model_path = tmp_path / "model.json"
-    assert main(["train", "--config", str(quick_config_path), "--out", str(model_path)]) == 0
-    data = json.loads(quick_config_path.read_text())
-    data["hyper"]["levels"]["hidden"] = 7
-    cfg = quick_config_path.parent / "mismatch.json"
-    cfg.write_text(json.dumps(data))
-    assert main(["evaluate", "--config", str(cfg), "--model", str(model_path),
-                 "--out", str(tmp_path / "x")]) == 2
-    assert "level bands" in capsys.readouterr().err
 
 
 def test_saved_model_evaluates_byte_identically(tmp_path, quick_config_path):

@@ -242,7 +242,7 @@ def test_base_expansion_and_a_lift_build_for_200_villages_in_under_a_second():
     lifted = list(levels)
     lifted[117] += 30000 / config.populations[117]
     expected = consume_each(lifted, config)
-    assert lift(lifted[117], consumed, terms) == (
+    assert lift(levels, 30000, consumed, terms) == (
         expected, reference_equity(expected, config.populations))
 
 

@@ -20,9 +20,12 @@ from equiflow import (
     run_episode,
     train_eadql,
 )
+from equiflow.config import evaluation_env, evaluation_initial
 from equiflow.evaluate import (RolloutError, SummaryRow, compute_metrics, write_series_csv,
                                write_summary_csv)
 from equiflow.qlearn import Hyperparams
+
+from helpers import LookaheadPolicy
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
 
@@ -70,8 +73,6 @@ def test_running_average_is_prefix_mean(rewards):
 # run_episode
 
 def test_local_policy_full_scenario_regression(experiment_cfg):
-    from equiflow.config import evaluation_env, evaluation_initial
-
     traj, metrics = run_episode(
         LocalPolicy(), evaluation_env(experiment_cfg), evaluation_initial(experiment_cfg), 0.0, 0.7
     )
@@ -281,3 +282,19 @@ def test_summary_csv_layout(tmp_path):
         "violation_ratio", "episode_length", "seed",
     ]
     assert rows[1][0] == "local" and rows[1][7] == "7"
+
+
+def test_lookahead_planner_ratio_on_the_first_criterion_8_starts(experiment_cfg):
+    """Criterion 8's evaluation (default map, seed 7, eps_eval 0.01) on its
+    first three random starts.  Depth 1 chooses as the local policy does;
+    looking three steps ahead inside the same admissible sets cuts the mean
+    violation ratio from 0.462 to 0.265.  README's depth sweep uses this planner."""
+    env, init = evaluation_env(experiment_cfg), evaluation_initial(experiment_cfg)
+    tau = experiment_cfg.hyper.tau
+
+    def ratio(policy):
+        return aggregate_runs(policy, env, 3, experiment_cfg.seed, 0.01, tau,
+                              init).mean_violation_ratio
+
+    assert ratio(LookaheadPolicy(env, 1, 0.01, tau)) == ratio(LocalPolicy()) == 0.46201827334372264
+    assert ratio(LookaheadPolicy(env, 3, 0.01, tau)) == 0.26526562699502404
