@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .env import Action, EnvConfig, WorldState, successors
+from .env import Action, EnvConfig, WorldState, _new, successors
 
 __all__ = ["ScoredAction", "score_actions", "admissible_from", "best_scored", "is_violation"]
 
@@ -27,7 +27,7 @@ def score_actions(state: WorldState, config: EnvConfig) -> list[ScoredAction]:
     Reads the one-pass ``successors`` table, which stays memoised for this
     state object so the ``Episode.step`` that follows commits its entry.
     """
-    return [ScoredAction(a, score) for a, (_, score) in successors(state, config).items()]
+    return [_new(ScoredAction, (a, score)) for a, (_, score) in successors(state, config).items()]
 
 
 def admissible_from(scored: Sequence[ScoredAction], epsilon: float) -> list[ScoredAction]:

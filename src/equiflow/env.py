@@ -14,19 +14,21 @@ water.  Movement rules:
 An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
 
-``successors`` is the one copy of the dynamics; it steps through the actions
-``available_actions`` returns.  Per state, a base expansion compiled once per
-world lets every village consume and computes the equity score's village and
+``successors`` is the one copy of the dynamics: for each ``(position, load)``
+it meets, it compiles one expansion over the actions ``available_actions``
+returns.  That function calls a base expansion, compiled once per world,
+which lets every village consume and computes the equity score's village and
 pair terms and the score of the consumed levels, shared by every zero-litre
-and source move.  A delivery changes only its destination: that village's
-lift, compiled on its first delivery, takes ``(levels, dispense, consumed,
-terms)``, lifts and consumes the village, recomputes its ``n`` terms and sums
-them with the other term values.  ``equity.compile_scorer`` writes the terms
-and their sum for both, as for ``EnvConfig.equity_of``, so every score is
-bit-equal to ``equity_of`` of the level vector.  The table holds levels and
-equity only; a ``WorldState`` is built for the one action a step commits.
-The last state's table stays on the config, keyed by object identity, so
-scoring a state and stepping from it cost one pass together.
+and source move.  A delivery changes only its destination: the expansion
+calls ``lift(levels, <dispense>, consumed, terms)`` of that village, compiled
+with the first expansion that delivers there, which lifts and consumes the
+village, recomputes its ``n`` terms and sums them with the other terms.
+``equity.compile_scorer`` writes the terms and their sum for both, as for
+``EnvConfig.equity_of``, so every score is bit-equal to ``equity_of`` of the
+level vector.  The table holds levels and equity only; a ``WorldState`` is
+built for the one action a step commits.  The last state's table stays on the
+config, keyed by object identity, so scoring a state and stepping from it
+cost one pass together.
 
 States are validated where they enter: reset states and any state a caller
 builds.  The state the kernel last committed is made from a validated one and
@@ -46,6 +48,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .equity import compile_scorer, make_equity_scorer, term_names
 
 SOURCE = -1
+# ``_new(Cls, fields)`` builds a NamedTuple without the frame of its Python ``__new__``.
+_new = tuple.__new__
 
 __all__ = [
     "SOURCE", "ConfigurationError", "EmptyActionSetError", "LevelOverflowError",
@@ -250,6 +254,12 @@ class EnvConfig:
     def n_villages(self) -> int:
         return len(self.villages)
 
+    @property
+    def step_limit(self) -> int:
+        """Steps after which training or a rollout stops an unfinished episode: a thousand per
+        delivery quantum of the budget, where episodes on the shipped maps take under 300."""
+        return 1000 * -(-self.total_to_distribute // self.delivery_quantum)
+
     @cached_property
     def populations(self) -> tuple[int, ...]:
         return tuple(v.population for v in self.villages)
@@ -315,12 +325,34 @@ class EnvConfig:
 
     @cached_property
     def _lifts(self) -> list:
-        """The lift of each village, compiled on its first delivery by ``_lift``."""
+        """Each village's lift, compiled by ``_lift`` for the first expansion delivering there."""
         return [None] * self.n_villages
 
     def _lift(self, d: int) -> Callable:
         self._lifts[d] = lift = self._compile_kernel(d)
         return lift
+
+    @cached_property
+    def _expansions(self) -> dict[tuple[int, int], Callable]:
+        """``successors``' expansion for each ``(position, load)`` met so far."""
+        return {}
+
+    def _compile_expansion(self, where: tuple[int, int], actions: tuple[Action, ...]) -> Callable:
+        """``levels -> successors table`` for the legal ``actions`` at ``where``: one call of
+        ``_expand``, and of each delivery's lift with its dispense written in, in a dict
+        display in action order where zero-litre and source moves share one ``base`` tuple."""
+        lifts = {a.destination: self._lifts[a.destination] or self._lift(a.destination)
+                 for a in actions if a.dispense}
+        entries = ", ".join(f"a{k}: lift{a.destination}(levels, {a.dispense!r}, consumed, terms)"
+                            if a.dispense else f"a{k}: base" for k, a in enumerate(actions))
+        lines = ["def f(levels):", "    consumed, terms, score = expand(levels)",
+                 "    base = consumed, score", f"    return {{{entries}}}"]
+        namespace = {"expand": self._expand, **{f"lift{d}": f for d, f in lifts.items()},
+                     **{f"a{k}": a for k, a in enumerate(actions)}}
+        label = f"<expansion of {self.n_villages} villages at {where}>"
+        exec(compile("\n".join(lines), label, "exec"), namespace)
+        self._expansions[where] = expansion = namespace["f"]
+        return expansion
 
     @cached_property
     def _action_table(self) -> dict[tuple[int, int], tuple[Action, ...]]:
@@ -383,24 +415,18 @@ def successors(
 ) -> dict[Action, tuple[tuple[float, ...], float]]:
     """``{action: (next levels, their equity)}`` for each of ``available_actions``, in order.
 
-    Move and dispense, then every village consumes.  Only the level vectors are
-    built; ``predict_transition`` and ``Episode.step`` make the ``WorldState``
-    of the action they commit.  Asked again for the same state object, it
-    returns the same table, kept on ``config``: do not mutate it.
+    Move and dispense, then every village consumes, in the expansion compiled for
+    the state's ``(position, load)``.  Only the level vectors are built;
+    ``predict_transition`` and ``Episode.step`` make the ``WorldState`` of the
+    action they commit.  Asked again for the same state object, it returns the
+    same table, kept on ``config``: do not mutate it.
     """
     memo = config._successor_memo
     if memo[0] is state:
         return memo[1]
     actions = available_actions(state, config)
-    levels = state.levels
-    consumed, terms, base_score = config._expand(levels)
-    base = consumed, base_score
-    lifts = config._lifts
-    table = {}
-    for action in actions:
-        dest, dispense = action
-        table[action] = ((lifts[dest] or config._lift(dest))(levels, dispense, consumed, terms)
-                         if dispense else base)
+    where = state.position, state.load
+    table = (config._expansions.get(where) or config._compile_expansion(where, actions))(state.levels)
     memo[0], memo[1] = state, table
     return table
 
@@ -415,7 +441,7 @@ def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[Wo
         raise IllegalActionError(f"action {action} must have int destination and dispense")
     levels, score = entry
     load = config.capacity if dest == SOURCE else state.load - dispense
-    nxt = WorldState(levels, dest, load, state.distributed_total + dispense)
+    nxt = _new(WorldState, (levels, dest, load, state.distributed_total + dispense))
     config._successor_memo[2] = nxt
     return nxt, score
 
@@ -476,4 +502,4 @@ class Episode:
         done = nxt.distributed_total >= self.config.total_to_distribute
         self._state = nxt
         self._done = done
-        return StepOutcome(nxt, reward, done)
+        return _new(StepOutcome, (nxt, reward, done))

@@ -104,16 +104,18 @@ def run_episode(
     initial: WorldState,
     epsilon_eval: float,
     tau: float,
-    max_steps: int = 100_000,
+    max_steps: int | None = None,
 ) -> tuple[Trajectory, RunMetrics]:
     """Roll the policy greedily from ``initial`` until the budget is delivered.
 
-    Raises RolloutError if the rollout revisits a state or exceeds ``max_steps``.
+    Raises RolloutError if the rollout revisits a state or exceeds ``max_steps``,
+    by default ``config.step_limit``, the bound training uses too.
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must be in [0, 1)")
+    max_steps = config.step_limit if max_steps is None else max_steps
     episode = Episode(config)
     state = episode.reset_to(initial)
     traj = Trajectory(initial=initial, actions=[], rewards=[], violations=[], states=[])
@@ -127,12 +129,13 @@ def run_episode(
         if state.distributed_total != delivered:
             delivered = state.distributed_total
             seen.clear()
-        elif state in seen:
+        size = len(seen)
+        seen.add(state)  # hashes the state once: an old state leaves the size as it was
+        if len(seen) == size:
             raise RolloutError(
                 f"policy {policy.name} revisited a state at step {traj.length}; "
                 "the rollout would never finish"
             )
-        seen.add(state)
         admissible = admissible_from(score_actions(state, config), epsilon_eval)
         action = policy.choose(state, admissible)
         if not any(sa.action == action for sa in admissible):

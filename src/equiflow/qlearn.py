@@ -61,6 +61,9 @@ class LevelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.min_requirement < self.desired < math.inf:
             raise ValueError("need 0 < min_requirement < desired < inf")
+        # An int, not a float or bool: bands are ints, and the compiled levelise writes it in.
+        if type(self.hidden) is not int:
+            raise ValueError(f"hidden must be an int, got {self.hidden!r}")
         if self.hidden < 1:
             raise ValueError("need at least one hidden band")
         if self.green_bound == math.inf:
@@ -77,10 +80,32 @@ class LevelParams:
         return self.desired + (self.desired + self.min_requirement) / 2.0
 
     @cached_property
-    def _bands(self) -> tuple[float, float, float]:
-        """``(red bound, green bound, hidden band width)``, computed once for ``levelise``."""
+    def _levelisers(self) -> dict[int, Callable]:
+        """``levelise``'s compiled function for each village count met so far."""
+        return {}
+
+    def _compile_leveliser(self, n: int) -> Callable:
+        """Loop-free ``(levels, position, load) -> LevelisedState`` for ``n`` villages.
+
+        A level at or below the red bound is band 0, one above the green bound
+        is band ``hidden + 1``, and one in between is ``ceil((x - red) /
+        width)`` held to ``[1, hidden]``; the bounds and the width are written
+        in as float literals.
+        """
         red, green = self.red_bound, self.green_bound
-        return red, green, (green - red) / self.hidden
+        width, top = (green - red) / self.hidden, self.hidden
+        lines = ["def f(levels, position, load):", f"    {''.join(f'x{i}, ' for i in range(n))}= levels"]
+        for i in range(n):
+            lines += [f"    if x{i} <= {red!r}:", f"        b{i} = 0",
+                      f"    elif x{i} > {green!r}:", f"        b{i} = {top + 1}",
+                      "    else:", f"        b{i} = ceil((x{i} - {red!r}) / {width!r})",
+                      f"        b{i} = 1 if b{i} < 1 else {top} if b{i} > {top} else b{i}"]
+        bands = "".join(f"b{i}, " for i in range(n))
+        lines.append(f"    return new(LevelisedState, (({bands}), position, load))")
+        namespace = {"ceil": math.ceil, "new": tuple.__new__, "LevelisedState": LevelisedState}
+        exec(compile("\n".join(lines), f"<levelise {self} of {n} villages>", "exec"), namespace)
+        self._levelisers[n] = leveliser = namespace["f"]
+        return leveliser
 
 
 class LevelisedState(NamedTuple):
@@ -92,22 +117,11 @@ class LevelisedState(NamedTuple):
 
 
 def levelise(state: WorldState, params: LevelParams) -> LevelisedState:
-    """Map a continuous state onto its discrete Q-table key."""
-    red, green, width = params._bands
-    bands = []
-    for x in state.levels:
-        if x <= red:
-            band = 0
-        elif x > green:
-            band = params.hidden + 1
-        else:
-            band = math.ceil((x - red) / width)
-            if band < 1:
-                band = 1
-            elif band > params.hidden:
-                band = params.hidden
-        bands.append(band)
-    return LevelisedState(tuple(bands), state.position, state.load)
+    """Map a continuous state onto its discrete Q-table key, by code compiled per
+    ``params`` and village count."""
+    levels = state.levels
+    n = len(levels)
+    return (params._levelisers.get(n) or params._compile_leveliser(n))(levels, state.position, state.load)
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,8 @@ class Hyperparams:
         if not 0.0 <= self.tau < 1.0:
             # tau = 0 disables the constraint (no state scores below zero).
             raise ValueError("tau must be in [0, 1)")
+        if type(self.episodes) is not int:
+            raise ValueError(f"episodes must be an int, got {self.episodes!r}")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if not 0.0 <= self.p0 <= 1.0:
@@ -295,9 +311,7 @@ def _train(
     tau = hyper.tau
     n_episodes = hyper.episodes
     key_params = hyper.levels
-    # Training episodes on the shipped and bench maps stay under 300 steps; only
-    # a policy that keeps moving water nowhere reaches a thousand per quantum.
-    max_steps = 1000 * -(-config.total_to_distribute // config.delivery_quantum)
+    max_steps = config.step_limit
 
     for o in range(n_episodes):
         p = hyper.p0 * (1.0 - o / n_episodes)

@@ -7,6 +7,7 @@ that agreement between the two is meaningful.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict
 from pathlib import Path
@@ -124,6 +125,28 @@ def random_walk_states(
 def random_legal_action(state: WorldState, config: EnvConfig, rng: random.Random) -> Action:
     acts = available_actions(state, config)
     return acts[rng.randrange(len(acts))]
+
+
+def reference_levelise(state: WorldState, params) -> tuple:
+    """The Q-table key as a loop over the villages: band 0 at or below the red
+    bound, ``hidden + 1`` above the green bound, else ``ceil((x - red) / width)``
+    held to ``[1, hidden]``.  The compiled ``levelise`` must return an equal key."""
+    red, green = params.red_bound, params.green_bound
+    width = (green - red) / params.hidden
+    bands = []
+    for x in state.levels:
+        if x <= red:
+            band = 0
+        elif x > green:
+            band = params.hidden + 1
+        else:
+            band = math.ceil((x - red) / width)
+            if band < 1:
+                band = 1
+            elif band > params.hidden:
+                band = params.hidden
+        bands.append(band)
+    return tuple(bands), state.position, state.load
 
 
 def consume(level: float, base: float, high: float, threshold: float) -> float:

@@ -27,7 +27,9 @@ from equiflow import (
     predict_transition,
     run_episode,
     score_actions,
+    train_ecadql,
 )
+import equiflow.qlearn
 from equiflow.env import successors
 from helpers import (consume, random_legal_action, random_walk_states, reference_equity,
                      reference_transition, road_graphs)
@@ -640,3 +642,58 @@ def test_levels_that_could_overflow_the_equity_score_are_rejected(env_cfg):
         scored = score_actions(ep.state, env_cfg)
         assert all(math.isfinite(sa.successor_alignment) for sa in scored)
         ep.step(scored[-1].action)
+
+
+# ---------------------------------------------------------------------------
+# compiled expansions
+
+def chord_world():
+    """Dead ends at villages 2 and 4, roads back to the source from 0, 1, 2
+    and 4, and the one-way chords 0 -> 1, 1 -> 3 and 3 -> 0."""
+    villages = tuple(VillageSpec(i, pop, 4.0, 100.0, 350.0)
+                     for i, pop in enumerate((25, 260, 90, 400, 7)))
+    edges = [(SOURCE, 0), (SOURCE, 1), (SOURCE, 3), (0, 1), (0, 2), (1, 3), (3, 0), (3, 4),
+             (0, SOURCE), (1, SOURCE), (2, SOURCE), (4, SOURCE)]
+    return EnvConfig(villages=villages, network=RoadNetwork.from_edges(edges, range(5)))
+
+
+def recorded_compiles(monkeypatch):
+    """The ``(position, load)`` of every expansion compiled from now on, in order."""
+    compiled = []
+    compile_expansion = EnvConfig._compile_expansion
+    monkeypatch.setattr(EnvConfig, "_compile_expansion", lambda self, where, actions:
+                        compiled.append(where) or compile_expansion(self, where, actions))
+    return compiled
+
+
+def test_every_expansion_is_bit_equal_to_the_reference_and_compiled_once(monkeypatch):
+    config = chord_world()
+    assert config.network.is_dead_end(2) and config.network.is_dead_end(4)
+    compiled = recorded_compiles(monkeypatch)
+    rng = random.Random(18)
+    for _ in range(3):
+        for (position, load), actions in config._action_table.items():
+            s = state([rng.choice((0.0, 350.0, rng.uniform(0.0, 700.0))) for _ in range(5)],
+                      position, load)
+            if not actions:  # a loaded truck at a dead end
+                with pytest.raises(EmptyActionSetError):
+                    successors(s, config)
+                continue
+            table = successors(s, config)
+            assert list(table) == list(available_actions(s, config))
+            for action, (levels, score) in table.items():
+                expected = reference_transition(s, action, config).levels
+                assert hexes(levels) == hexes(expected)
+                assert score.hex() == reference_equity(expected, config.populations).hex()
+    assert sorted(compiled) == sorted(where for where, acts in config._action_table.items() if acts)
+
+
+def test_training_compiles_one_expansion_per_visited_position_and_load(monkeypatch, experiment_cfg):
+    config = replace(experiment_cfg.env)  # a fresh config, with no expansion compiled yet
+    compiled, visited = recorded_compiles(monkeypatch), set()
+    score = equiflow.qlearn.score_actions
+    monkeypatch.setattr(equiflow.qlearn, "score_actions",
+                        lambda s, c: visited.add((s.position, s.load)) or score(s, c))
+    train_ecadql(config, replace(experiment_cfg.hyper, episodes=20), 7)
+    assert len(compiled) == len(set(compiled))
+    assert set(compiled) == visited

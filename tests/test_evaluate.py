@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from equiflow import (
     Action,
+    EnvConfig,
     Episode,
     LocalPolicy,
     ModelPolicy,
@@ -125,6 +126,24 @@ def test_run_episode_stops_a_cycling_policy_at_the_first_revisit(quick_env):
         run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7)
     step = int(re.search(r"step (\d+)", str(info.value)).group(1))
     assert step < 500
+
+
+def test_training_and_evaluation_stop_at_the_configs_step_limit(quick_env, monkeypatch):
+    assert quick_env.step_limit == 1000 * 12  # a thousand per quantum of the 180,000 l budget
+    assert replace(quick_env, total_to_distribute=180_001).step_limit == 1000 * 13
+    monkeypatch.setattr(EnvConfig, "step_limit", property(lambda self: 3))
+    with pytest.raises(RuntimeError, match="exceeded 3 steps"):
+        train_eadql(quick_env, Hyperparams(episodes=1), seed=3)
+    with pytest.raises(RolloutError, match="exceeded 3 steps"):
+        run_episode(LocalPolicy(), quick_env, EVAL_START, 0.1, 0.7)
+
+
+def test_a_rollout_may_run_past_100000_steps(experiment_cfg):
+    # The local policy takes about 1.95 steps per 15,000 l quantum, so a budget
+    # of 52,000 quanta takes just over 100,000 steps, within its step limit.
+    env = replace(experiment_cfg.env, total_to_distribute=15_000 * 52_000)
+    traj, _ = run_episode(LocalPolicy(), env, evaluation_initial(experiment_cfg), 0.1, 0.7)
+    assert traj.length > 100_000
 
 
 def test_aggregate_runs_names_the_random_run_that_cycles(quick_env):

@@ -1,8 +1,11 @@
 import json
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equiflow import (
     Action,
@@ -24,9 +27,10 @@ from equiflow import (
     train_ecadql,
 )
 from equiflow import qlearn
+from equiflow.config import default_env_config
 from equiflow.qlearn import _argmax_q, _encode_action, _encode_state_key
 
-from helpers import optimal_average_reward, random_walk_states, write_v1_model
+from helpers import optimal_average_reward, random_walk_states, reference_levelise, write_v1_model
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
 
@@ -86,6 +90,55 @@ def test_level_params_validation():
         LevelParams(hidden=0)
     with pytest.raises(ValueError):
         LevelParams(min_requirement=1.0, desired=1.5e308)  # finite, but the green bound overflows
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LevelParams(hidden=5.0),
+    lambda: LevelParams(hidden=True),
+    lambda: Hyperparams(episodes=2.5),
+    lambda: Hyperparams(episodes=True),
+], ids=["hidden-float", "hidden-bool", "episodes-float", "episodes-bool"])
+def test_int_fields_reject_floats_and_bools(build):
+    # A float band count would reach the model file as '6.0' bands, which load_model rejects.
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
+SUBNORMALS = (5e-324, 2.225073858507201e-308)
+LEVEL_CAP = default_env_config()._level_cap
+
+
+@st.composite
+def levelise_cases(draw):
+    """Random band bounds with 1-20 hidden bands, and 1-12 levels, each at 0, a
+    band edge (red, green, red + k*width), one ulp either side of one,
+    subnormal, at the level cap, or anywhere below it."""
+    low = draw(st.floats(1e-6, 1e6))
+    params = LevelParams(low, low + draw(st.floats(1e-6, 1e6)), draw(st.integers(1, 20)))
+    red, green = params.red_bound, params.green_bound
+    width = (green - red) / params.hidden
+    edge = st.sampled_from([red, green, *(red + k * width for k in range(1, params.hidden))])
+    level = (st.sampled_from((0.0, *SUBNORMALS, LEVEL_CAP)) | edge
+             | edge.map(lambda x: math.nextafter(x, 0.0)) | edge.map(lambda x: math.nextafter(x, math.inf))
+             | st.floats(0.0, LEVEL_CAP))
+    levels = tuple(draw(st.lists(level, min_size=1, max_size=12)))
+    return params, WorldState(levels, draw(st.integers(-1, 11)), 15000 * draw(st.integers(0, 4)), 0)
+
+
+# At its green bound, (green - red) / width rounds above ``hidden`` and the
+# band is held to ``hidden``; a subnormal level divides to 0 and is held to 1.
+CLAMPED = LevelParams(100.0, 1100.0, 11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levelise_cases())
+@example((CLAMPED, WorldState((CLAMPED.green_bound, 5e-324), -1, 0, 0)))
+def test_compiled_levelise_equals_the_reference_loop(case):
+    params, state = case
+    key = levelise(state, params)
+    assert type(key) is LevelisedState
+    assert tuple(key) == reference_levelise(state, params)
+    assert all(type(b) is int for b in key.levels)
 
 
 def test_hyperparams_validation():
