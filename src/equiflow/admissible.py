@@ -9,6 +9,7 @@ the greedy baseline policy always takes a best-scoring action.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .env import Action, EnvConfig, WorldState, _new, successors
@@ -19,6 +20,9 @@ __all__ = ["ScoredAction", "score_actions", "admissible_from", "best_scored", "i
 class ScoredAction(NamedTuple):
     action: Action
     successor_alignment: float  # equity of the state the action produces
+
+
+_alignment = itemgetter(1)  # ``ScoredAction.successor_alignment`` without the attribute lookup
 
 
 def score_actions(state: WorldState, config: EnvConfig) -> list[ScoredAction]:
@@ -37,9 +41,8 @@ def admissible_from(scored: Sequence[ScoredAction], epsilon: float) -> list[Scor
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
-    best = max(sa.successor_alignment for sa in scored)
-    cut = best - epsilon
-    return [sa for sa in scored if sa.successor_alignment >= cut]
+    cut = max(map(_alignment, scored)) - epsilon
+    return [sa for sa in scored if sa[1] >= cut]
 
 
 def best_scored(scored: Sequence[ScoredAction]) -> ScoredAction:

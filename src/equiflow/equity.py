@@ -57,10 +57,13 @@ def compile_scorer(
     scores the levels ``c{i}`` and returns ``returning`` followed by the score.
 
     That code computes the village term ``t{i} = w_i * c{i}`` and the pair
-    terms ``p{i}_{j} = w_i*w_j * abs(c{i} - c{j})`` of each village in
-    ``changed`` (``head`` binds the other villages' terms), then sums all terms
-    in the fixed order.  Only reprs of floats made from the weights, which
-    must be ints, go into the source.
+    terms ``p{i}_{j} = w_i*w_j * |c{i} - c{j}|`` of each village in ``changed``
+    (``head`` binds the other villages' terms), then sums all terms in the
+    fixed order.  The absolute difference is a conditional subtraction, which
+    IEEE antisymmetry makes bit-equal to ``abs`` (a NaN stays NaN) but for the
+    sign of a zero between ``0.0`` and ``-0.0``, which a sum from ``0.0``
+    drops.  Only reprs of floats made from the weights, which must be ints,
+    go into the source.
     """
     n = len(weights)
     names = term_names(n)
@@ -77,7 +80,8 @@ def compile_scorer(
     lines = [
         *head,
         *(f"    t{i} = {float(weights[i])!r} * c{i}" for i in changed),
-        *(f"    p{i}_{j} = {float(weights[i] * weights[j])!r} * abs(c{i} - c{j})"
+        *(f"    p{i}_{j} = {float(weights[i] * weights[j])!r} * "
+          f"(c{i} - c{j} if c{i} > c{j} else c{j} - c{i})"
           for i in range(n) for j in range(i + 1, n) if i in changed or j in changed),
         *summing("total", names[:n]),
         # Nobody has any water: maximally inequitable by convention.  Treating

@@ -13,6 +13,7 @@ import csv
 import math
 import random
 from dataclasses import astuple, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -68,8 +69,8 @@ class RunMetrics:
 class Policy(Protocol):
     """Picks one action of the (non-empty) epsilon-admissible set of ``state``.
 
-    ``choose`` must be a function of its inputs: ``run_episode`` stops a
-    rollout that revisits a state, since such a rollout can never finish.
+    Back at a state without a delivery in between, ``run_episode`` offers only
+    the admissible actions not yet taken from there, so a loop is left.
     """
 
     name: str
@@ -95,7 +96,7 @@ class ModelPolicy:
 
     def choose(self, state: WorldState, admissible: Sequence[ScoredAction]) -> Action:
         return _argmax_q(self.model, levelise(state, self.model.hyper.levels),
-                         [sa.action for sa in admissible])
+                         [sa[0] for sa in admissible])
 
 
 def run_episode(
@@ -108,8 +109,9 @@ def run_episode(
 ) -> tuple[Trajectory, RunMetrics]:
     """Roll the policy greedily from ``initial`` until the budget is delivered.
 
-    Raises RolloutError if the rollout revisits a state or exceeds ``max_steps``,
-    by default ``config.step_limit``, the bound training uses too.
+    Back at a state it left since the last delivery, the policy is offered only
+    the admissible actions it has not taken from there.  Raises RolloutError when
+    none is left, or past ``max_steps``, by default ``config.step_limit``, as in training.
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
@@ -119,42 +121,37 @@ def run_episode(
     episode = Episode(config)
     state = episode.reset_to(initial)
     traj = Trajectory(initial=initial, actions=[], rewards=[], violations=[], states=[])
-    # Every state after a delivery differs from those before it, since its
-    # distributed_total does; only the states since the last delivery can recur.
-    seen: set[WorldState] = set()
-    delivered = state.distributed_total
-    while not episode.done:
-        if traj.length >= max_steps:
+    actions, rewards, violations, states = traj.actions, traj.rewards, traj.violations, traj.states
+    # A delivery raises distributed_total, so a state recurs only between two
+    # deliveries, and the actions taken from it are those since the last one.
+    taken: dict[WorldState, list[Action]] = {}
+    done = episode.done
+    while not done:
+        if len(rewards) >= max_steps:
             raise RolloutError(f"policy {policy.name} exceeded {max_steps} steps without finishing")
-        if state.distributed_total != delivered:
-            delivered = state.distributed_total
-            seen.clear()
-        size = len(seen)
-        seen.add(state)  # hashes the state once: an old state leaves the size as it was
-        if len(seen) == size:
-            raise RolloutError(
-                f"policy {policy.name} revisited a state at step {traj.length}; "
-                "the rollout would never finish"
-            )
         admissible = admissible_from(score_actions(state, config), epsilon_eval)
+        before = taken.setdefault(state, [])  # hashes the state once
+        if before:
+            admissible = [sa for sa in admissible if sa[0] not in before]
+            if not admissible:
+                raise RolloutError(f"policy {policy.name} revisited a state at step {len(rewards)} and has "
+                                   "taken every admissible action from it since the last delivery; "
+                                   "the rollout cannot finish")
         action = policy.choose(state, admissible)
-        if not any(sa.action == action for sa in admissible):
+        if action not in [sa[0] for sa in admissible]:
             raise AssertionError(f"policy {policy.name} chose an inadmissible action {action}")
-        outcome = episode.step(action)
-        traj.actions.append(action)
-        traj.rewards.append(outcome.reward)
-        traj.violations.append(is_violation(outcome.reward, tau))
-        traj.states.append(outcome.next_state)
-        state = outcome.next_state
+        before.append(action)
+        state, reward, done = episode.step(action)
+        actions.append(action)
+        rewards.append(reward)
+        violations.append(is_violation(reward, tau))
+        states.append(state)
     return traj, compute_metrics(traj)
 
 
 def compute_metrics(traj: Trajectory) -> RunMetrics:
-    running: list[float] = []
-    acc = 0.0
-    for k, r in enumerate(traj.rewards, start=1):
-        acc += r
-        running.append(acc / k)
+    # Running sums left to right, as a loop from 0.0 adds them (rewards are never -0.0).
+    running = [acc / k for k, acc in enumerate(accumulate(traj.rewards), start=1)]
     n = traj.length
     return RunMetrics(
         score=running[-1] if n else 0.0,

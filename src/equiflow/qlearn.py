@@ -204,15 +204,27 @@ class QModel:
 
 
 def _argmax_q(model: QModel, key: Hashable, actions: Sequence[Action]) -> Action:
-    """First action maximizing qa+qb, in the given deterministic order."""
-    row_a, row_b = model.qa.get(key, {}), model.qb.get(key, {})
+    """First action maximizing qa+qb, in the given deterministic order.
+
+    A missing row reads 0.0 for every action: with neither row every action ties,
+    and with one the other adds 0.0, which changes no comparison."""
+    row_a, row_b = model.qa.get(key), model.qb.get(key)
     best_action = actions[0]
+    if row_a is None or row_b is None:
+        row = row_a if row_b is None else row_b
+        if row is None:
+            return best_action
+        best_value = row.get(best_action, 0.0)
+        for a in actions[1:]:
+            v = row.get(a, 0.0)
+            if v > best_value:
+                best_value, best_action = v, a
+        return best_action
     best_value = row_a.get(best_action, 0.0) + row_b.get(best_action, 0.0)
     for a in actions[1:]:
         v = row_a.get(a, 0.0) + row_b.get(a, 0.0)
         if v > best_value:
-            best_value = v
-            best_action = a
+            best_value, best_action = v, a
     return best_action
 
 
@@ -234,12 +246,15 @@ def double_q_update(
     if not next_actions:
         raise ValueError("next_actions must not be empty")
     q_upd, q_sel = (model.qa, model.qb) if rng.random() < 0.5 else (model.qb, model.qa)
-    next_row = q_sel.get(next_key, {})
-    best = -math.inf
-    for a in next_actions:
-        v = next_row.get(a, 0.0)
-        if v > best:
-            best = v
+    next_row = q_sel.get(next_key)
+    if next_row is None:
+        best = 0.0  # every action of a missing row reads 0.0
+    else:
+        best = -math.inf
+        for a in next_actions:
+            v = next_row.get(a, 0.0)
+            if v > best:
+                best = v
     row = q_upd.get(key)
     current = 0.0 if row is None else row.get(action, 0.0)
     delta = reward - model.avg_reward + best - current
@@ -300,10 +315,7 @@ def _train(
     step_hook: StepHook | None,
 ) -> QModel:
     rng = random.Random(seed)
-    if constrained:
-        kind = "ecadql"
-    else:
-        kind = "adql" if hyper.epsilon >= 1.0 else "eadql"
+    kind = "ecadql" if constrained else "adql" if hyper.epsilon >= 1.0 else "eadql"
     model = QModel(hyper, kind=kind)
     lag = LagrangeState()
     episode = Episode(config, rng=rng)
@@ -319,35 +331,32 @@ def _train(
         key = levelise(state, key_params)
         scored = score_actions(state, config)
         adm = admissible_from(scored, eps)
-        actions = [sa.action for sa in adm]
+        actions = [sa[0] for sa in adm]
         steps = 0
         raw_sum = 0.0
         violations = 0
-        while not episode.done:
+        done = episode.done
+        while not done:
             if steps >= max_steps:
-                raise RuntimeError(
-                    f"training episode {o} exceeded {max_steps} steps without finishing"
-                )
+                raise RuntimeError(f"training episode {o} exceeded {max_steps} steps without finishing")
             if p > 0.0 and rng.random() < p:
                 pool = adm if hyper.explore_admissible_only else scored
-                action = pool[rng.randrange(len(pool))].action
+                action = pool[rng.randrange(len(pool))][0]
                 explored = True
             else:
                 action = _argmax_q(model, key, actions)
                 explored = False
             if step_hook is not None:
                 step_hook(o, state, scored, adm, action, explored)
-            outcome = episode.step(action)
-            reward = outcome.reward
+            next_state, reward, done = episode.step(action)
             raw_sum += reward
             if constrained and is_violation(reward, tau):
                 violations += 1
                 reward = reward - lag.lam
-            next_state = outcome.next_state
             next_key = levelise(next_state, key_params)
             next_scored = score_actions(next_state, config)
             next_adm = admissible_from(next_scored, eps)
-            next_actions = [sa.action for sa in next_adm]
+            next_actions = [sa[0] for sa in next_adm]
             double_q_update(model, key, action, next_key, next_actions, reward, rng)
             state, key, scored, adm, actions = next_state, next_key, next_scored, next_adm, next_actions
             steps += 1
@@ -385,20 +394,12 @@ _FORMAT = "equiflow-qmodel"
 _VERSION = 2
 
 
-def _encode_state_key(key: LevelisedState) -> str:
-    return f"{','.join(map(str, key.levels))}|{key.position}|{key.load}"
-
-
 def _decode_state_key(text: str) -> LevelisedState:
     try:
         bands, position, load = text.split("|")
         return LevelisedState(tuple(map(int, bands.split(","))), int(position), int(load))
     except ValueError:
         raise ValueError(f"malformed state key {text!r}") from None
-
-
-def _encode_action(action: Action) -> str:
-    return f"{action.destination},{action.dispense}"
 
 
 def _decode_action(text: str) -> Action:
@@ -409,15 +410,36 @@ def _decode_action(text: str) -> Action:
         raise ValueError(f"malformed action key {text!r}") from None
 
 
-def _table_to_groups(table: dict) -> dict[str, dict[str, float]]:
-    """Version-2 layout: {state key: {action: value}}, both levels sorted as strings."""
-    rows = {_encode_state_key(key): row for key, row in table.items()}
-    return {text: dict(sorted((_encode_action(a), v) for a, v in rows[text].items()))
-            for text in sorted(rows)}
+def _table_text(name: str, table: dict) -> str:
+    """The compact JSON text of ``table`` in the version-2 layout, {state key:
+    {action: value}} with both levels sorted as strings, as ``json.dumps`` of
+    that layout writes it.  A non-finite value raises ValueError."""
+    row_formats: dict[int, str] = {}  # one per village count
+    action_texts: dict[Action, str] = {}
+    rows = []
+    inf = math.inf
+    for (levels, position, load), row in table.items():
+        n = len(levels)
+        row_format = row_formats.get(n) or row_formats.setdefault(n, f'"{",".join(["%d"] * n)}|%d|%d":{{%s}}')
+        entries = []
+        for action, value in row.items():
+            text = action_texts.get(action)
+            if text is None:
+                text = action_texts[action] = '"%d,%d":' % action
+            if not -inf < value < inf:
+                state = f"{','.join(map(str, levels))}|{position}|{load}"
+                raise ValueError(f"{name}: state {state!r}: action {text[1:-2]!r}: "
+                                 f"cannot write the non-finite value {value!r}")
+            entries.append(text + float.__repr__(value))
+        # A key's closing '"' sorts below every character in a key: entries and rows sort as keys.
+        entries.sort()
+        rows.append(row_format % (*levels, position, load, ",".join(entries)))
+    rows.sort()
+    return "{" + ",".join(rows) + "}"
 
 
 def _groups_to_table(groups: object) -> dict:
-    """Read the version-2 layout written by ``_table_to_groups``."""
+    """Read the version-2 layout written by ``_table_text``."""
     if not isinstance(groups, dict):
         raise ValueError(f"expected a JSON object, got {type(groups).__name__}")
     actions: dict[str, Action] = {}  # one Action per distinct key, shared by its entries
@@ -529,18 +551,18 @@ _TABLE_READERS = {1: _rows_to_table, 2: _groups_to_table}  # by model file versi
 
 
 def save_model(model: QModel, path: str | Path) -> None:
-    """Write the model as compact version-2 JSON; loading reproduces evaluation bit-exactly."""
-    doc = {
+    """Write the model as compact version-2 JSON; loading reproduces evaluation bit-exactly.
+    A non-finite number, which ``load_model`` would refuse, raises ValueError instead."""
+    head = json.dumps({
         "format": _FORMAT,
         "version": _VERSION,
         "kind": model.kind,
         "hyper": asdict(model.hyper),
         "avg_reward": model.avg_reward,
         "lagrange": None if model.lagrange is None else asdict(model.lagrange),
-        "qa": _table_to_groups(model.qa),
-        "qb": _table_to_groups(model.qb),
-    }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    }, separators=(",", ":"), allow_nan=False)
+    text = f'{head[:-1]},"qa":{_table_text("qa", model.qa)},"qb":{_table_text("qb", model.qb)}}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 @contextmanager

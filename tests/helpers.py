@@ -20,6 +20,9 @@ from equiflow import (
     Action,
     Episode,
     EnvConfig,
+    RandomReset,
+    RoadNetwork,
+    VillageSpec,
     WorldState,
     admissible_from,
     available_actions,
@@ -253,3 +256,40 @@ def write_v1_model(model, path) -> None:
         "qb": rows(model.qb),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+def stalling_world() -> EnvConfig:
+    """Two villages of equal population that consume nothing, every random
+    start at 200 l per inhabitant in both.  With equal levels a zero-litre move keeps
+    the equity at 1 and any delivery lowers it, so at ``epsilon`` 0 a rollout
+    from the source shuttles 0 -> 1 -> 0 and has no admissible action left
+    untaken when it is back at village 0, at step 3."""
+    villages = (VillageSpec(0, 100, 0.0, 0.0, 0.0), VillageSpec(1, 100, 0.0, 0.0, 0.0))
+    edges = [(SOURCE, 0), (0, 1), (1, 0), (0, SOURCE), (1, SOURCE)]
+    return EnvConfig(villages, RoadNetwork.from_edges(edges, range(2)),
+                     reset_mode=RandomReset(200.0, 200.0))
+
+
+def reference_model_text(model) -> str:
+    """The model file the way earlier releases wrote it: the version-2 layout
+    ({state key: {action: value}}, both levels sorted as strings) built as
+    dicts, then the whole document through ``json.dumps``.  ``save_model`` must
+    write the same bytes."""
+
+    def groups(table):
+        rows = {f"{','.join(map(str, key.levels))}|{key.position}|{key.load}": row
+                for key, row in table.items()}
+        return {text: dict(sorted((f"{a.destination},{a.dispense}", v) for a, v in rows[text].items()))
+                for text in sorted(rows)}
+
+    doc = {
+        "format": "equiflow-qmodel",
+        "version": 2,
+        "kind": model.kind,
+        "hyper": asdict(model.hyper),
+        "avg_reward": model.avg_reward,
+        "lagrange": None if model.lagrange is None else asdict(model.lagrange),
+        "qa": groups(model.qa),
+        "qb": groups(model.qb),
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"

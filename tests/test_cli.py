@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from equiflow import (
 from equiflow.cli import main
 from equiflow.config import config_from_dict, config_to_dict, default_config, dump_config
 
-from helpers import road_graphs
+from helpers import road_graphs, stalling_world
 
 
 @pytest.fixture()
@@ -423,14 +424,19 @@ def test_evaluate_with_fixed_levels_above_the_cap_is_a_clean_error(
 @pytest.mark.parametrize("command", [["evaluate", "--model"], ["compare"]],
                          ids=["evaluate", "compare"])
 def test_a_cycling_model_is_a_clean_error(tmp_path, capsys, command):
-    # With every action admissible, an empty Q-table takes the first action,
-    # a zero-litre move, at every state, until the drained levels repeat one.
+    # In the stalling world an empty Q-table takes the first admissible action,
+    # a zero-litre move, until no untaken one is left at a revisited state.
+    cfg = default_config()
+    path = tmp_path / "stalling.json"
+    path.write_text(dump_config(replace(cfg, env=stalling_world(),
+                                        eval=replace(cfg.eval, fixed_levels=(200.0, 200.0)))))
     model_path = tmp_path / "empty.json"
-    save_model(QModel(default_config().hyper), model_path)
-    assert main([*command, str(model_path), "--eps-eval", "1.0", "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: reference run: policy eadql revisited a state at step \d+; "
-                        r"the rollout would never finish\n", err)
+    save_model(QModel(cfg.hyper), model_path)
+    assert main([*command, str(model_path), "--config", str(path), "--eps-eval", "0.0",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: reference run: policy eadql revisited a state at step 3 and has taken every "
+        "admissible action from it since the last delivery; the rollout cannot finish\n")
 
 
 def fewer_villages(data):

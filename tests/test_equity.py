@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -98,8 +99,19 @@ def test_compiled_scorer_equals_reference_loop_bit_for_bit(data):
     # Populations up to 2**40 make pair products that float() must round.
     weights = data.draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=12))
     n = len(weights)
-    values = data.draw(st.one_of(st.lists(levels, min_size=n, max_size=n), st.just([0.0] * n)))
-    assert make_equity_scorer(weights)(tuple(values)) == reference_equity(values, weights)
+    values = data.draw(st.one_of(st.lists(levels, min_size=n, max_size=n), st.just([0.0] * n),
+                                 clustered_levels(n)))
+    assert make_equity_scorer(weights)(tuple(values)).hex() == reference_equity(values, weights).hex()
+
+
+@st.composite
+def clustered_levels(draw, n):
+    """Levels drawn from a few values, their one-ulp neighbours, 0.0 and the
+    smallest subnormal, so that equal levels, 0.0 next to subnormals and
+    adjacent floats meet in one vector: the pair terms' comparisons at a tie."""
+    pool = draw(st.lists(levels, min_size=1, max_size=3))
+    pool += [math.nextafter(x, d) for x in pool for d in (0.0, math.inf)] + [0.0, 5e-324]
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
 
 
 def test_compiled_scorer_equals_reference_loop_on_seeded_sweep():

@@ -1,6 +1,5 @@
 import csv
 import random
-import re
 from dataclasses import replace
 
 import pytest
@@ -15,10 +14,12 @@ from equiflow import (
     ModelPolicy,
     Trajectory,
     WorldState,
+    admissible_from,
     aggregate_runs,
     available_actions,
     normalize_series,
     run_episode,
+    score_actions,
     train_eadql,
 )
 from equiflow.config import evaluation_env, evaluation_initial
@@ -26,7 +27,7 @@ from equiflow.evaluate import (RolloutError, SummaryRow, compute_metrics, write_
                                write_summary_csv)
 from equiflow.qlearn import Hyperparams
 
-from helpers import LookaheadPolicy
+from helpers import LookaheadPolicy, stalling_world
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
 
@@ -120,12 +121,32 @@ def test_run_episode_guards_against_stalls(quick_env):
         run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7, max_steps=500)
 
 
-def test_run_episode_stops_a_cycling_policy_at_the_first_revisit(quick_env):
-    # Without the revisit check this rollout runs to the default step cap.
-    with pytest.raises(RuntimeError, match=r"policy loiter revisited a state at step \d+") as info:
-        run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7)
-    step = int(re.search(r"step (\d+)", str(info.value)).group(1))
-    assert step < 500
+def test_a_cycling_policy_is_offered_only_the_actions_it_has_not_taken(quick_env):
+    # Loiter takes the first zero-litre move wherever it can, so its drained
+    # states repeat; back at one, it is offered only the untaken actions, and
+    # it delivers once the zero-litre moves from there are spent.
+    traj, _ = run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7)
+    assert traj.length == 921
+    assert traj.states[-1].distributed_total == quick_env.total_to_distribute
+    episode = Episode(quick_env)
+    state = episode.reset_to(EVAL_START)
+    taken = set()
+    for action in traj.actions:
+        assert action in [sa.action for sa in admissible_from(score_actions(state, quick_env), 1.0)]
+        if action.dispense:
+            taken.clear()
+        else:
+            assert (state, action) not in taken
+            taken.add((state, action))
+        state = episode.step(action).next_state
+
+
+def test_run_episode_raises_when_no_untaken_admissible_action_is_left():
+    world = stalling_world()
+    start = WorldState((200.0, 200.0), -1, world.capacity, 0)
+    with pytest.raises(RolloutError, match=r"^policy local revisited a state at step 3 and has taken "
+                                           r"every admissible action from it since the last delivery"):
+        run_episode(LocalPolicy(), world, start, 0.0, 0.7)
 
 
 def test_training_and_evaluation_stop_at_the_configs_step_limit(quick_env, monkeypatch):
@@ -146,21 +167,16 @@ def test_a_rollout_may_run_past_100000_steps(experiment_cfg):
     assert traj.length > 100_000
 
 
-def test_aggregate_runs_names_the_random_run_that_cycles(quick_env):
-    reference = {EVAL_START, *run_episode(LocalPolicy(), quick_env, EVAL_START, 1.0, 0.7)[0].states}
-
-    class LoiterOffTheReferenceRun(Loiter):
-        """Local along the reference run, so that run finishes; Loiter from anywhere else."""
-
-        def choose(self, state, admissible):
-            if state in reference:
-                return LocalPolicy().choose(state, admissible)
-            return super().choose(state, admissible)
-
+def test_aggregate_runs_names_the_random_run_that_cycles():
+    # Every random start has equal levels and stalls at step 3; from the
+    # reference start, the first step delivers the whole budget and levels them.
+    world = replace(stalling_world(), total_to_distribute=15_000)
+    reference = WorldState((50.0, 200.0), -1, world.capacity, 0)
+    assert run_episode(LocalPolicy(), world, reference, 0.0, 0.7)[0].length == 1
     run_seed = random.Random(5).randrange(2**63)
-    with pytest.raises(RolloutError, match=rf"^run 0 \(seed {run_seed}\): policy loiter revisited "
-                                           r"a state at step \d+"):
-        aggregate_runs(LoiterOffTheReferenceRun(), quick_env, 3, 5, 1.0, 0.7, EVAL_START)
+    with pytest.raises(RolloutError, match=rf"^run 0 \(seed {run_seed}\): policy local revisited "
+                                           r"a state at step 3"):
+        aggregate_runs(LocalPolicy(), world, 3, 5, 0.0, 0.7, reference)
 
 
 def test_run_episode_rejects_inadmissible_choice(quick_env):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -28,9 +29,10 @@ from equiflow import (
 )
 from equiflow import qlearn
 from equiflow.config import default_env_config
-from equiflow.qlearn import _argmax_q, _encode_action, _encode_state_key
+from equiflow.qlearn import _argmax_q, _table_text
 
-from helpers import optimal_average_reward, random_walk_states, reference_levelise, write_v1_model
+from helpers import (optimal_average_reward, random_walk_states, reference_levelise,
+                     reference_model_text, write_v1_model)
 
 EVAL_START = WorldState((0.0, 300.0, 200.0, 200.0), -1, 60000, 0)
 
@@ -465,8 +467,137 @@ def test_model_file_is_deterministic(fast_env, tmp_path):
 
 def test_serialised_key_format():
     key = LevelisedState((0, 3, 2, 2), -1, 60000)
-    assert _encode_state_key(key) == "0,3,2,2|-1|60000"
-    assert _encode_action(Action(1, 30000)) == "1,30000"
+    assert _table_text("qa", {key: {Action(1, 30000): 0.5}}) == '{"0,3,2,2|-1|60000":{"1,30000":0.5}}'
+
+
+# Values that json.dumps and float.__repr__ must write alike: signed zero, the
+# smallest subnormal, the float extremes and a value with no short binary form.
+Q_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1e16]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def q_tables(draw):
+    """Tables of 1-4 villages with multi-digit bands, negative positions and
+    loads of several digit lengths, so that keys sort differently as strings
+    and as numbers."""
+    n = draw(st.integers(1, 4))
+    keys = st.builds(LevelisedState, st.tuples(*[st.integers(0, 20)] * n), st.integers(-1, 12),
+                     st.sampled_from([0, 5, 15, 150, 15000, 150000]))
+    actions = st.builds(Action, st.integers(-1, 12), st.sampled_from([0, 1, 15, 150, 15000, 150000]))
+    return draw(st.dictionaries(keys, st.dictionaries(actions, Q_VALUES, min_size=1, max_size=6),
+                                max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qa=q_tables(), qb=q_tables(), avg_reward=Q_VALUES, lagrange=st.booleans())
+def test_model_file_equals_the_json_dumps_layout_byte_for_byte(tmp_path_factory, qa, qb,
+                                                               avg_reward, lagrange):
+    model = QModel(Hyperparams(), kind="ecadql" if lagrange else "eadql")
+    model.qa, model.qb, model.avg_reward = qa, qb, avg_reward
+    model.lagrange = LagrangeState(0.25, avg_reward, 0.1) if lagrange else None
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert path.read_text(encoding="utf-8") == reference_model_text(model)
+    loaded = load_model(path)
+    assert (loaded.qa, loaded.qb, loaded.avg_reward) == (qa, qb, avg_reward)
+
+
+@pytest.mark.parametrize("where,value,message", [
+    ("qa", math.inf, "qa: state '1,2,3,4|0|0': action '1,0': cannot write the non-finite value inf"),
+    ("qb", -math.inf, "qb: state '1,2,3,4|0|0': action '1,0': cannot write the non-finite value -inf"),
+    ("qa", math.nan, "qa: state '1,2,3,4|0|0': action '1,0': cannot write the non-finite value nan"),
+    ("avg_reward", math.inf, "not JSON compliant"),
+    ("reward_estimate", math.nan, "not JSON compliant"),
+    ("violation_estimate", -math.inf, "not JSON compliant"),
+])
+def test_save_model_refuses_a_non_finite_number(tmp_path, where, value, message):
+    # load_model would refuse the file ("expected a finite number"), so writing it fails.
+    model = QModel(Hyperparams(), kind="ecadql")
+    model.lagrange = LagrangeState()
+    key = LevelisedState((1, 2, 3, 4), 0, 0)
+    model.qa[key] = {Action(1, 0): 0.5}
+    model.qb[key] = {Action(1, 0): 0.25}
+    if where in ("qa", "qb"):
+        getattr(model, where)[key][Action(1, 0)] = value
+    elif where == "avg_reward":
+        model.avg_reward = value
+    else:
+        model.lagrange = replace(model.lagrange, **{where: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+def reference_argmax(qa, qb, key, actions):
+    """The first action whose qa+qb value beats every earlier one, each missing entry 0.0."""
+    row_a, row_b = qa.get(key, {}), qb.get(key, {})
+    best, best_value = actions[0], row_a.get(actions[0], 0.0) + row_b.get(actions[0], 0.0)
+    for a in actions[1:]:
+        v = row_a.get(a, 0.0) + row_b.get(a, 0.0)
+        if v > best_value:
+            best, best_value = a, v
+    return best
+
+
+def reference_update(model, key, action, next_key, next_actions, reward, rng):
+    """double_q_update as a plain loop over the selector row, each missing entry 0.0."""
+    q_upd, q_sel = (model.qa, model.qb) if rng.random() < 0.5 else (model.qb, model.qa)
+    next_row = q_sel.get(next_key, {})
+    best = -math.inf
+    for a in next_actions:
+        v = next_row.get(a, 0.0)
+        if v > best:
+            best = v
+    current = q_upd.get(key, {}).get(action, 0.0)
+    delta = reward - model.avg_reward + best - current
+    if delta != 0.0:
+        model.avg_reward += model.hyper.beta * delta
+        q_upd.setdefault(key, {})[action] = current + model.hyper.alpha * delta
+    return delta
+
+
+SMALL_KEYS = [LevelisedState((b,), 0, 0) for b in range(3)]
+SMALL_ACTIONS = [Action(d, q) for d in range(2) for q in (0, 15000)]
+SMALL_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, -2.0, 3.0])
+
+
+@st.composite
+def small_models(draw):
+    """Two small Q-tables over three keys, where a key's row may be missing from
+    neither, one or both; rows are never empty, as training leaves them."""
+    rows = st.dictionaries(st.sampled_from(SMALL_ACTIONS), SMALL_VALUES, min_size=1)
+    return [draw(st.dictionaries(st.sampled_from(SMALL_KEYS), rows, max_size=3)) for _ in range(2)]
+
+
+def hexed(table):
+    return {key: {a: v.hex() for a, v in row.items()} for key, row in table.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=small_models(), key=st.sampled_from(SMALL_KEYS),
+       actions=st.lists(st.sampled_from(SMALL_ACTIONS), min_size=1, max_size=4, unique=True))
+def test_argmax_fast_paths_equal_the_first_max_loop(tables, key, actions):
+    model = QModel(Hyperparams())
+    model.qa, model.qb = tables
+    assert _argmax_q(model, key, actions) == reference_argmax(*tables, key, actions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=small_models(), key=st.sampled_from(SMALL_KEYS), next_key=st.sampled_from(SMALL_KEYS),
+       action=st.sampled_from(SMALL_ACTIONS), reward=SMALL_VALUES, seed=st.integers(0, 2**32),
+       next_actions=st.lists(st.sampled_from(SMALL_ACTIONS), min_size=1, max_size=4, unique=True))
+def test_double_q_update_fast_path_equals_the_loop(tables, key, next_key, action, reward, seed,
+                                                   next_actions):
+    fast, slow = QModel(Hyperparams()), QModel(Hyperparams())
+    for model in (fast, slow):
+        model.qa, model.qb = ({k: dict(row) for k, row in table.items()} for table in tables)
+        model.avg_reward = 0.125
+    delta = double_q_update(fast, key, action, next_key, next_actions, reward, random.Random(seed))
+    expected = reference_update(slow, key, action, next_key, next_actions, reward, random.Random(seed))
+    assert delta.hex() == expected.hex()
+    assert fast.avg_reward.hex() == slow.avg_reward.hex()
+    assert (hexed(fast.qa), hexed(fast.qb)) == (hexed(slow.qa), hexed(slow.qb))
 
 
 def test_load_rejects_foreign_files(tmp_path):
