@@ -47,11 +47,7 @@ def admissible_from(scored: Sequence[ScoredAction], epsilon: float) -> list[Scor
 
 def best_scored(scored: Sequence[ScoredAction]) -> ScoredAction:
     """First maximal entry in the deterministic action order."""
-    best = scored[0]
-    for sa in scored[1:]:
-        if sa.successor_alignment > best.successor_alignment:
-            best = sa
-    return best
+    return max(scored, key=_alignment)
 
 
 def is_violation(next_alignment: float, tau: float) -> bool:

@@ -14,9 +14,11 @@ water.  Movement rules:
 An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
 
-``successors`` is the one copy of the dynamics: for each ``(position, load)``
-it meets, it compiles one expansion over the actions ``available_actions``
-returns.  That function calls a base expansion, compiled once per world,
+``successors`` is the one copy of the dynamics.  The config keeps one cache
+keyed by ``(position, load)``: the first time ``available_actions`` is asked
+about a pair, it builds the pair's legal actions and compiles their expansion
+together, so this one-off cost scales with the pairs a run visits.  An
+expansion calls a base expansion, compiled once per world,
 which lets every village consume and computes the equity score's village and
 pair terms and the score of the consumed levels, shared by every zero-litre
 and source move.  A delivery changes only its destination: the expansion
@@ -238,7 +240,7 @@ class EnvConfig:
             raise ConfigurationError("capacity and delivery quantum must be positive")
         if self.capacity % self.delivery_quantum != 0:
             raise ConfigurationError("capacity must be a multiple of the delivery quantum")
-        # Entries of ``_action_table``, counted per edge; 10**6 of them take about 200 MB.
+        # Legal actions of every (position, load), counted per edge; ``_pairs`` builds only visited ones.
         loads = self.capacity // self.delivery_quantum + 1
         entries = sum(1 if b == SOURCE else loads if self.network.is_dead_end(b) else
                       loads * (loads + 1) // 2 for _, b in self.network.edges)
@@ -333,48 +335,40 @@ class EnvConfig:
         return lift
 
     @cached_property
-    def _expansions(self) -> dict[tuple[int, int], Callable]:
-        """``successors``' expansion for each ``(position, load)`` met so far."""
+    def _pairs(self) -> dict[tuple[int, int], tuple[tuple[Action, ...], Callable | None]]:
+        """``(legal actions, expansion)`` of each ``(position, load)`` met so far."""
         return {}
 
-    def _compile_expansion(self, where: tuple[int, int], actions: tuple[Action, ...]) -> Callable:
-        """``levels -> successors table`` for the legal ``actions`` at ``where``: one call of
-        ``_expand``, and of each delivery's lift with its dispense written in, in a dict
-        display in action order where zero-litre and source moves share one ``base`` tuple."""
-        lifts = {a.destination: self._lifts[a.destination] or self._lift(a.destination)
-                 for a in actions if a.dispense}
-        entries = ", ".join(f"a{k}: lift{a.destination}(levels, {a.dispense!r}, consumed, terms)"
-                            if a.dispense else f"a{k}: base" for k, a in enumerate(actions))
-        lines = ["def f(levels):", "    consumed, terms, score = expand(levels)",
-                 "    base = consumed, score", f"    return {{{entries}}}"]
-        namespace = {"expand": self._expand, **{f"lift{d}": f for d, f in lifts.items()},
-                     **{f"a{k}": a for k, a in enumerate(actions)}}
-        label = f"<expansion of {self.n_villages} villages at {where}>"
-        exec(compile("\n".join(lines), label, "exec"), namespace)
-        self._expansions[where] = expansion = namespace["f"]
-        return expansion
-
-    @cached_property
-    def _action_table(self) -> dict[tuple[int, int], tuple[Action, ...]]:
-        """Legal actions for every (position, load) pair, pre-sorted."""
-        table: dict[tuple[int, int], tuple[Action, ...]] = {}
-        loads = range(0, self.capacity + 1, self.delivery_quantum)
-        for pos in self.network.nodes:
-            for load in loads:
-                acts: list[Action] = []
-                for dest in self.network.outgoing(pos):
-                    if dest == SOURCE:
-                        if load == 0:
-                            acts.append(Action(SOURCE, 0))
-                    elif self.network.is_dead_end(dest):
-                        acts.append(Action(dest, load))
-                    else:
-                        acts.extend(
-                            Action(dest, d)
-                            for d in range(0, load + 1, self.delivery_quantum)
-                        )
-                table[(pos, load)] = tuple(acts)
-        return table
+    def _build_pair(self, where: tuple[int, int]) -> tuple[tuple[Action, ...], Callable | None]:
+        """Legal actions at ``where`` in (destination, dispense) order, and for a non-empty set
+        the expansion ``levels -> successors table`` over them: one call of ``_expand``, and of
+        each delivery's lift with its dispense written in, in a dict display in action order
+        where zero-litre and source moves share one ``base`` tuple."""
+        position, load = where
+        acts: list[Action] = []
+        for dest in self.network.outgoing(position):
+            if dest == SOURCE:
+                if load == 0:
+                    acts.append(Action(SOURCE, 0))
+            elif self.network.is_dead_end(dest):
+                acts.append(Action(dest, load))
+            else:
+                acts.extend(Action(dest, d) for d in range(0, load + 1, self.delivery_quantum))
+        actions, expansion = tuple(acts), None
+        if actions:
+            lifts = {a.destination: self._lifts[a.destination] or self._lift(a.destination)
+                     for a in actions if a.dispense}
+            entries = ", ".join(f"a{k}: lift{a.destination}(levels, {a.dispense!r}, consumed, terms)"
+                                if a.dispense else f"a{k}: base" for k, a in enumerate(actions))
+            lines = ["def f(levels):", "    consumed, terms, score = expand(levels)",
+                     "    base = consumed, score", f"    return {{{entries}}}"]
+            namespace = {"expand": self._expand, **{f"lift{d}": f for d, f in lifts.items()},
+                         **{f"a{k}": a for k, a in enumerate(actions)}}
+            label = f"<expansion of {self.n_villages} villages at {where}>"
+            exec(compile("\n".join(lines), label, "exec"), namespace)
+            expansion = namespace["f"]
+        self._pairs[where] = pair = actions, expansion
+        return pair
 
     def validate_state(self, state: WorldState) -> None:
         if state is self._successor_memo[2]:
@@ -396,13 +390,15 @@ class EnvConfig:
 
 
 def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...]:
-    """Legal actions from ``state``, sorted by (destination, dispense).
+    """Legal actions from ``state``, validated first, sorted by (destination, dispense).
 
+    The first call at a ``(position, load)`` caches them with their compiled expansion.
     Raises EmptyActionSetError when the graph leaves the truck stranded;
     with the refill and dead-end rules that indicates a malformed network.
     """
     config.validate_state(state)
-    acts = config._action_table[(state.position, state.load)]
+    where = state.position, state.load
+    acts = (config._pairs.get(where) or config._build_pair(where))[0]
     if not acts:
         raise EmptyActionSetError(
             f"no legal action at position {state.position} with load {state.load}"
@@ -415,8 +411,9 @@ def successors(
 ) -> dict[Action, tuple[tuple[float, ...], float]]:
     """``{action: (next levels, their equity)}`` for each of ``available_actions``, in order.
 
-    Move and dispense, then every village consumes, in the expansion compiled for
-    the state's ``(position, load)``.  Only the level vectors are built;
+    Move and dispense, then every village consumes, in the expansion that
+    ``available_actions`` cached with the legal actions of the state's
+    ``(position, load)``.  Only the level vectors are built;
     ``predict_transition`` and ``Episode.step`` make the ``WorldState`` of the
     action they commit.  Asked again for the same state object, it returns the
     same table, kept on ``config``: do not mutate it.
@@ -424,9 +421,8 @@ def successors(
     memo = config._successor_memo
     if memo[0] is state:
         return memo[1]
-    actions = available_actions(state, config)
-    where = state.position, state.load
-    table = (config._expansions.get(where) or config._compile_expansion(where, actions))(state.levels)
+    available_actions(state, config)
+    table = config._pairs[state.position, state.load][1](state.levels)
     memo[0], memo[1] = state, table
     return table
 

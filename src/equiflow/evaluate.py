@@ -90,9 +90,9 @@ class LocalPolicy:
 class ModelPolicy:
     """Greedy Q-model policy restricted to the epsilon-admissible set."""
 
-    def __init__(self, model: QModel, name: str | None = None) -> None:
+    def __init__(self, model: QModel) -> None:
         self.model = model
-        self.name = name if name is not None else model.kind
+        self.name = model.kind
 
     def choose(self, state: WorldState, admissible: Sequence[ScoredAction]) -> Action:
         return _argmax_q(self.model, levelise(state, self.model.hyper.levels),

@@ -657,27 +657,29 @@ def chord_world():
     return EnvConfig(villages=villages, network=RoadNetwork.from_edges(edges, range(5)))
 
 
-def recorded_compiles(monkeypatch):
-    """The ``(position, load)`` of every expansion compiled from now on, in order."""
-    compiled = []
-    compile_expansion = EnvConfig._compile_expansion
-    monkeypatch.setattr(EnvConfig, "_compile_expansion", lambda self, where, actions:
-                        compiled.append(where) or compile_expansion(self, where, actions))
-    return compiled
+def recorded_builds(monkeypatch):
+    """The ``(position, load)`` of every ``_pairs`` entry built from now on, in order."""
+    built = []
+    build_pair = EnvConfig._build_pair
+    monkeypatch.setattr(EnvConfig, "_build_pair",
+                        lambda self, where: built.append(where) or build_pair(self, where))
+    return built
 
 
 def test_every_expansion_is_bit_equal_to_the_reference_and_compiled_once(monkeypatch):
     config = chord_world()
     assert config.network.is_dead_end(2) and config.network.is_dead_end(4)
-    compiled = recorded_compiles(monkeypatch)
+    built = recorded_builds(monkeypatch)
+    pairs = [(position, load) for position in sorted(config.network.nodes) for load in QUANTA]
     rng = random.Random(18)
     for _ in range(3):
-        for (position, load), actions in config._action_table.items():
+        for position, load in pairs:
             s = state([rng.choice((0.0, 350.0, rng.uniform(0.0, 700.0))) for _ in range(5)],
                       position, load)
-            if not actions:  # a loaded truck at a dead end
+            if load and config.network.is_dead_end(position):  # a loaded truck at a dead end
                 with pytest.raises(EmptyActionSetError):
                     successors(s, config)
+                assert config._pairs[position, load] == ((), None)
                 continue
             table = successors(s, config)
             assert list(table) == list(available_actions(s, config))
@@ -685,15 +687,33 @@ def test_every_expansion_is_bit_equal_to_the_reference_and_compiled_once(monkeyp
                 expected = reference_transition(s, action, config).levels
                 assert hexes(levels) == hexes(expected)
                 assert score.hex() == reference_equity(expected, config.populations).hex()
-    assert sorted(compiled) == sorted(where for where, acts in config._action_table.items() if acts)
+    assert sorted(built) == sorted(pairs)
 
 
 def test_training_compiles_one_expansion_per_visited_position_and_load(monkeypatch, experiment_cfg):
-    config = replace(experiment_cfg.env)  # a fresh config, with no expansion compiled yet
-    compiled, visited = recorded_compiles(monkeypatch), set()
+    config = replace(experiment_cfg.env)  # a fresh config, with no pair built yet
+    built, visited = recorded_builds(monkeypatch), set()
     score = equiflow.qlearn.score_actions
     monkeypatch.setattr(equiflow.qlearn, "score_actions",
                         lambda s, c: visited.add((s.position, s.load)) or score(s, c))
     train_ecadql(config, replace(experiment_cfg.hyper, episodes=20), 7)
-    assert len(compiled) == len(set(compiled))
-    assert set(compiled) == visited
+    assert len(built) == len(set(built))
+    assert set(built) == visited
+
+
+def test_a_first_step_builds_only_its_own_pair_on_a_963605_action_world():
+    # 3 roads into a village that is no dead end, each with 801 * 802 / 2 (load, dispense)
+    # pairs, plus 2 roads back to the source: 963,605 legal actions, under the 10**6 bound.
+    villages = tuple(VillageSpec(i, 100, 4.0, 6.0, 200.0) for i in range(2))
+    edges = [(SOURCE, 0), (0, 1), (1, 0), (0, SOURCE), (1, SOURCE)]
+    config = EnvConfig(villages=villages, network=RoadNetwork.from_edges(edges, range(2)),
+                       capacity=12_000, delivery_quantum=15)
+    with pytest.raises(ConfigurationError, match="gives 1284806 legal actions"):
+        replace(config, network=RoadNetwork.from_edges(edges + [(SOURCE, 1)], range(2)))
+    table = successors(state((300.0, 300.0), SOURCE, 12_000), config)
+    assert list(config._pairs) == [(SOURCE, 12_000)]
+    actions, expansion = config._pairs[SOURCE, 12_000]
+    assert len(actions) == 801 and list(table) == list(actions) and expansion is not None
+    fresh = replace(config)
+    assert len(available_actions(state((300.0, 300.0), 1, 600), fresh)) == 41
+    assert list(fresh._pairs) == [(1, 600)]
