@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .env import (SOURCE, ConfigurationError, EnvConfig, InvalidStateError, LevelOverflowError,
                   RandomReset, RoadNetwork, VillageSpec, WorldState)
-from .qlearn import (Hyperparams, KeyPathError, as_float, as_int, as_str, hyper_from_dict,
+from .qlearn import (Hyperparams, KeyPathError, as_float, as_int, as_str, read_dataclass,
                      read_fields, reporting_malformed)
 
 __all__ = [
@@ -141,12 +141,9 @@ def _reset_from_dict(data: object) -> RandomReset:
     return RandomReset(**fields)
 
 
-_VILLAGE_FIELDS = {"id": as_int, "population": as_int, "base_rate": as_float,
-                   "high_rate": as_float, "threshold": as_float}
 _ENV_FIELDS = {
     "villages": lambda villages: tuple(
-        VillageSpec(**read_fields(v, _VILLAGE_FIELDS, f"env.villages[{i}]"))
-        for i, v in enumerate(villages)
+        read_dataclass(VillageSpec, v, f"env.villages[{i}]") for i, v in enumerate(villages)
     ),
     "edges": lambda edges: [(as_int(a), as_int(b)) for a, b in edges],
     **dict.fromkeys(("capacity", "delivery_quantum", "total_to_distribute"), as_int),
@@ -163,14 +160,6 @@ def env_from_dict(data: object) -> EnvConfig:
         raise KeyPathError(f"env.reset: {exc}") from exc
 
 
-_EVAL_FIELDS = {"n_runs": as_int, "epsilon_eval": as_float, "mode": as_str,
-                "fixed_levels": lambda levels: tuple(as_float(x) for x in levels),
-                "total_to_distribute": as_int}
-_CONFIG_FIELDS = {"seed": as_int, "policy_kind": as_str, "env": env_from_dict,
-                  "hyper": hyper_from_dict,
-                  "eval": lambda data: EvalSettings(**read_fields(data, _EVAL_FIELDS, "eval"))}
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     doc = asdict(config)
     env = doc["env"]
@@ -183,7 +172,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: object) -> ExperimentConfig:
-    return ExperimentConfig(**read_fields(data, _CONFIG_FIELDS))
+    return read_dataclass(ExperimentConfig, data, env=env_from_dict)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

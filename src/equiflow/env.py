@@ -471,10 +471,8 @@ class Episode:
     def done(self) -> bool:
         return self._done
 
-    def reset(self, seed: int | None = None) -> WorldState:
-        """Start a new episode; deterministic for a given seed."""
-        if seed is not None:
-            self._rng.seed(seed)
+    def reset(self) -> WorldState:
+        """Start a new episode at random levels drawn from the episode's random stream."""
         mode = self.config.reset_mode
         levels = tuple(
             self._rng.uniform(mode.low, mode.high) for _ in range(self.config.n_villages)

@@ -105,19 +105,18 @@ def run_episode(
     initial: WorldState,
     epsilon_eval: float,
     tau: float,
-    max_steps: int | None = None,
 ) -> tuple[Trajectory, RunMetrics]:
     """Roll the policy greedily from ``initial`` until the budget is delivered.
 
     Back at a state it left since the last delivery, the policy is offered only
     the admissible actions it has not taken from there.  Raises RolloutError when
-    none is left, or past ``max_steps``, by default ``config.step_limit``, as in training.
+    none is left, or past ``config.step_limit`` steps, as in training.
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must be in [0, 1)")
-    max_steps = config.step_limit if max_steps is None else max_steps
+    max_steps = config.step_limit
     episode = Episode(config)
     state = episode.reset_to(initial)
     traj = Trajectory(initial=initial, actions=[], rewards=[], violations=[], states=[])

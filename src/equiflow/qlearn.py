@@ -19,10 +19,10 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterator, NamedTuple, Sequence, get_type_hints
 
 from .admissible import admissible_from, is_violation, score_actions
 from .env import Action, ConfigurationError, EnvConfig, Episode, WorldState
@@ -528,25 +528,35 @@ def as_str(value: object) -> str:
     raise ValueError(f"expected a string, got {value!r}")
 
 
-_LEVEL_FIELDS = {"min_requirement": as_float, "desired": as_float, "hidden": as_int}
-_HYPER_FLOATS = ("alpha", "beta", "alpha_lambda", "beta_v", "beta_r", "epsilon", "tau", "p0")
-_HYPER_FIELDS = {
-    **dict.fromkeys(_HYPER_FLOATS, as_float),
-    "episodes": as_int,
-    "explore_admissible_only": as_bool,
-    "levels": lambda data: LevelParams(**read_fields(data, _LEVEL_FIELDS, "hyper.levels")),
-}
-_LAGRANGE_FIELDS = dict.fromkeys(("lam", "reward_estimate", "violation_estimate"), as_float)
+_READERS = {float: as_float, int: as_int, bool: as_bool, str: as_str,
+            tuple[float, ...]: lambda values: tuple(as_float(x) for x in values)}
 
 
-def hyper_from_dict(data: object) -> Hyperparams:
-    return Hyperparams(**read_fields(data, _HYPER_FIELDS, "hyper"))
+def read_dataclass(cls: type, data: object, where: str = "", **special: Callable) -> Any:
+    """Build ``cls`` from the JSON object ``data``, whose keys must be exactly its fields.
+
+    ``special`` gives a field's reader by name; any other field is read by the type
+    table ``_READERS`` (float, int, bool, str, tuple[float, ...]) or, if a dataclass,
+    by this function at key path ``where.name``.  Another annotation raises TypeError.
+    """
+    hints, readers = get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name in special:
+            readers[f.name] = special[f.name]
+        elif is_dataclass(hint):
+            readers[f.name] = partial(read_dataclass, hint, where=f"{where}.{f.name}" if where else f.name)
+        elif hint in _READERS:
+            readers[f.name] = _READERS[hint]
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: no reader for {hint!r}")
+    return cls(**read_fields(data, readers, where))
 
 
-_MODEL_FIELDS = {"format": as_str, "version": as_int, "kind": as_str, "hyper": hyper_from_dict,
-                 "avg_reward": as_float,
+_MODEL_FIELDS = {"format": as_str, "version": as_int, "kind": as_str,
+                 "hyper": partial(read_dataclass, Hyperparams, where="hyper"), "avg_reward": as_float,
                  "lagrange": lambda data: None if data is None
-                 else LagrangeState(**read_fields(data, _LAGRANGE_FIELDS, "lagrange"))}
+                 else read_dataclass(LagrangeState, data, "lagrange")}
 _TABLE_READERS = {1: _rows_to_table, 2: _groups_to_table}  # by model file version
 
 

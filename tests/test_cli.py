@@ -2,7 +2,8 @@ import csv
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from equiflow import (
     EvalSettings,
     ExperimentConfig,
     Hyperparams,
+    LagrangeState,
     LevelParams,
     QModel,
     RandomReset,
@@ -227,9 +229,42 @@ def action_table_above_the_cap(data):
     return "env: capacity 8640000 in quanta of delivery_quantum 15000 gives 1001675 legal actions"
 
 
+def schema_mutations(cls, where, section):
+    """Yield ``(id, mutate)`` for each field of ``cls``, whose JSON object in a
+    document ``doc`` is ``section(doc)`` at key path ``where``: one mutation deletes
+    the field's key, one gives it a value of the wrong type (a string, or a number
+    for a string field)."""
+    at, hints = f"{where}: " if where else "", get_type_hints(cls)
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+
+        def drop(doc, name=f.name):
+            del section(doc)[name]
+            return f"{at}missing key '{name}'"
+
+        def mistype(doc, name=f.name, path=path, value=1 if hints[f.name] is str else "x"):
+            section(doc)[name] = value
+            return f"{path}: "
+
+        yield f"drop-{path}", drop
+        yield f"mistype-{path}", mistype
+
+
+# Every section of a config document read through its dataclass.
+CONFIG_SECTIONS = [
+    (ExperimentConfig, "", lambda doc: doc),
+    (Hyperparams, "hyper", lambda doc: doc["hyper"]),
+    (LevelParams, "hyper.levels", lambda doc: doc["hyper"]["levels"]),
+    (VillageSpec, "env.villages[0]", lambda doc: doc["env"]["villages"][0]),
+    (EvalSettings, "eval", lambda doc: doc["eval"]),
+]
+
+
 @pytest.mark.parametrize(
     "mutate,named",
     [
+        *(pytest.param(mutate, "", id=name) for section in CONFIG_SECTIONS
+          for name, mutate in schema_mutations(*section)),
         (drop_alpha, "'alpha'"),
         (null_villages, ""),
         (nan_capacity, "NaN"),
@@ -340,7 +375,9 @@ def unknown_version(doc):
 @pytest.mark.parametrize("mutate", [unknown_model_key, unknown_lagrange_key, state_group_as_list,
                                     malformed_action_key, non_numeric_value, nan_q_value,
                                     huge_int_q_value, infinite_avg_reward, nan_reward_estimate,
-                                    unknown_version])
+                                    unknown_version,
+                                    *(pytest.param(mutate, id=name) for name, mutate in
+                                      schema_mutations(LagrangeState, "lagrange", lambda doc: doc["lagrange"]))])
 def test_model_with_unknown_key_is_a_clean_error(tmp_path, quick_config_path, capsys, mutate):
     data = json.loads(quick_config_path.read_text())
     data["policy_kind"] = "ecadql"  # a model with a Lagrange block

@@ -116,9 +116,14 @@ class Loiter:
         return free[0] if free else admissible[0].action
 
 
-def test_run_episode_guards_against_stalls(quick_env):
-    with pytest.raises(RuntimeError):
-        run_episode(Loiter(), quick_env, EVAL_START, 1.0, 0.7, max_steps=500)
+def test_run_episode_guards_against_stalls(env_cfg):
+    # Villages that barely drink never repeat a state, so Loiter never runs out of
+    # untaken moves and its rollout stops only at the step limit of one quantum.
+    world = replace(env_cfg, total_to_distribute=env_cfg.delivery_quantum,
+                    villages=tuple(replace(v, base_rate=1e-6, high_rate=1e-6) for v in env_cfg.villages))
+    assert world.step_limit == 1000
+    with pytest.raises(RolloutError, match="exceeded 1000 steps"):
+        run_episode(Loiter(), world, EVAL_START, 1.0, 0.7)
 
 
 def test_a_cycling_policy_is_offered_only_the_actions_it_has_not_taken(quick_env):
