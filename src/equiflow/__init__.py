@@ -1,6 +1,6 @@
 """Equity-driven water delivery: simulator, admissible policies, learners."""
 
-from .admissible import ScoredAction, admissible_from, best_scored, is_violation, score_actions
+from .admissible import admissible_from, best_scored, is_violation, score_actions
 from .config import (
     EvalSettings,
     ExperimentConfig,
@@ -24,6 +24,7 @@ from .env import (
     LevelOverflowError,
     RandomReset,
     RoadNetwork,
+    ScoredAction,
     StepOutcome,
     VillageSpec,
     WorldState,

@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .env import Action, EnvConfig, WorldState, _new, successors
+from .env import EnvConfig, ScoredAction, WorldState, successors
 
-__all__ = ["ScoredAction", "score_actions", "admissible_from", "best_scored", "is_violation"]
-
-
-class ScoredAction(NamedTuple):
-    action: Action
-    successor_alignment: float  # equity of the state the action produces
-
+__all__ = ["score_actions", "admissible_from", "best_scored", "is_violation"]
 
 _alignment = itemgetter(1)  # ``ScoredAction.successor_alignment`` without the attribute lookup
 
@@ -28,10 +22,11 @@ _alignment = itemgetter(1)  # ``ScoredAction.successor_alignment`` without the a
 def score_actions(state: WorldState, config: EnvConfig) -> list[ScoredAction]:
     """Score every available action; order follows (destination, dispense).
 
-    Reads the one-pass ``successors`` table, which stays memoised for this
-    state object so the ``Episode.step`` that follows commits its entry.
+    The list is the caller's: a copy of the one-pass ``successors`` table's,
+    which stays memoised for this state object so the ``Episode.step`` that
+    follows commits its entry.
     """
-    return [_new(ScoredAction, (a, score)) for a, (_, score) in successors(state, config).items()]
+    return successors(state, config)[0].copy()
 
 
 def admissible_from(scored: Sequence[ScoredAction], epsilon: float) -> list[ScoredAction]:

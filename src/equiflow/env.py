@@ -16,21 +16,23 @@ The per-step reward is the equity score of the state the action produces.
 
 ``successors`` is the one copy of the dynamics.  The config keeps one cache
 keyed by ``(position, load)``: the first time ``available_actions`` is asked
-about a pair, it builds the pair's legal actions and compiles their expansion
-together, so this one-off cost scales with the pairs a run visits.  An
-expansion calls a base expansion, compiled once per world,
-which lets every village consume and computes the equity score's village and
-pair terms and the score of the consumed levels, shared by every zero-litre
-and source move.  A delivery changes only its destination: the expansion
-calls ``lift(levels, <dispense>, consumed, terms)`` of that village, compiled
-with the first expansion that delivers there, which lifts and consumes the
-village, recomputes its ``n`` terms and sums them with the other terms.
+about a pair, it builds the pair's legal actions, their ``{action: index}``
+map and their compiled expansion together, so this one-off cost scales with
+the pairs a run visits.  An expansion returns the table ``(scored,
+next_levels)``: the ``ScoredAction`` list of the legal actions in order, and
+the level vectors they lead to at the same indices.  It calls a base
+expansion, compiled once per world, which lets every village consume and
+computes the equity score's village and pair terms and the score of the
+consumed levels, shared by every zero-litre and source move.  A delivery
+changes only its destination: one ``lift(levels, <dispenses>, consumed,
+terms)`` call per destination lifts and consumes it for each dispense,
+recomputes its ``n`` terms and sums them with the other terms.
 ``equity.compile_scorer`` writes the terms and their sum for both, as for
 ``EnvConfig.equity_of``, so every score is bit-equal to ``equity_of`` of the
-level vector.  The table holds levels and equity only; a ``WorldState`` is
-built for the one action a step commits.  The last state's table stays on the
-config, keyed by object identity, so scoring a state and stepping from it
-cost one pass together.
+level vector.  A ``WorldState`` is built for the one action a step commits.
+The last state's table stays on the config, keyed by object identity, so
+scoring a state and stepping from it cost one pass together; ``score_actions``
+hands out a copy of its list, which the caller owns.
 
 States are validated where they enter: reset states and any state a caller
 builds.  The state the kernel last committed is made from a validated one and
@@ -56,8 +58,8 @@ _new = tuple.__new__
 __all__ = [
     "SOURCE", "ConfigurationError", "EmptyActionSetError", "LevelOverflowError",
     "InvalidStateError", "IllegalActionError", "EpisodeFinishedError", "VillageSpec",
-    "RoadNetwork", "RandomReset", "EnvConfig", "WorldState", "Action", "StepOutcome", "Episode",
-    "available_actions", "predict_transition", "successors"
+    "RoadNetwork", "RandomReset", "EnvConfig", "WorldState", "Action", "ScoredAction", "StepOutcome",
+    "Episode", "available_actions", "predict_transition", "successors"
 ]
 
 
@@ -195,6 +197,11 @@ class Action(NamedTuple):
     dispense: int
 
 
+class ScoredAction(NamedTuple):
+    action: Action
+    successor_alignment: float  # equity of the state the action produces
+
+
 class StepOutcome(NamedTuple):
     next_state: WorldState
     reward: float
@@ -289,37 +296,39 @@ class EnvConfig:
 
     @cached_property
     def _successor_memo(self) -> list:
-        """``[state, successors(state), committed]``: the last expanded state,
-        its table, and the last state ``_successor`` built."""
-        return [object(), {}, object()]
+        """``[state, successors(state), committed, index]``: the last expanded state, its
+        table, the last state ``_successor`` built, and the table's ``{action: index}``."""
+        return [object(), ([], ()), object(), {}]
 
     def _compile_kernel(self, d: int | None = None) -> Callable:
-        """Loop-free successor code: the base expansion, or the lift of village ``d``.
+        """Compiled successor code: the base expansion, or the lift of village ``d``.
 
         The base expansion maps ``levels`` to ``(consumed levels, terms, their
         equity)``: every village consumes, and ``compile_scorer`` scores the
-        result.  The lift of ``d`` maps ``(levels, dispense, consumed levels,
-        terms)`` to ``(next levels, equity)``: ``d`` gains ``dispense /
-        population`` (int over int), only it consumes, and only its terms are
-        computed again.  A village consumes ``high_rate`` strictly above
-        ``threshold``, else ``base_rate``, down to 0; the rates are written in
-        as float literals.  Each function is O(villages**2) code.
+        result.  The lift of ``d`` maps ``(levels, dispenses, consumed levels,
+        terms)`` to a list of ``(next levels, equity)``, one per dispense: ``d``
+        gains ``dispense / population`` (int over int), only it consumes, and
+        only its terms are computed again.  A village consumes ``high_rate``
+        strictly above ``threshold``, else ``base_rate``, down to 0; the rates
+        are written in as float literals.  Each function is O(villages**2) code.
         """
         n = self.n_villages
         levels = "".join(f"c{i}, " for i in range(n))
         terms = "".join(f"{t}, " for t in term_names(n))
         if d is None:
-            changed, returning, name = range(n), f"({levels}), ({terms}), ", "base expansion"
+            changed, returning, name, pad = range(n), f"({levels}), ({terms}), ", "base expansion", "    "
             lines = ["def f(levels):", f"    {levels}= levels"]
         else:
-            changed, returning, name = (d,), f"({levels}), ", f"lift {d}"
-            lines = ["def f(levels, dispense, consumed, terms):", f"    {levels}= consumed",
-                     f"    {terms}= terms", f"    c{d} = levels[{d}] + dispense / {self.populations[d]!r}"]
+            changed, returning, name, pad = (d,), f"({levels}), ", f"lift {d}", "        "
+            lines = ["def f(levels, dispenses, consumed, terms):", f"    {levels}= consumed",
+                     f"    {terms}= terms", "    entries = []", "    for dispense in dispenses:",
+                     f"        c{d} = levels[{d}] + dispense / {self.populations[d]!r}"]
         for i in changed:
             v = self.villages[i]
             rate = f"({v.high_rate!r} if c{i} > {v.threshold!r} else {v.base_rate!r})"
-            lines += [f"    c{i} = c{i} - {rate}", f"    c{i} = c{i} if c{i} > 0.0 else 0.0"]
-        return compile_scorer(f"{name} of {n}", lines, self.populations, changed, returning)
+            lines += [f"{pad}c{i} = c{i} - {rate}", f"{pad}c{i} = c{i} if c{i} > 0.0 else 0.0"]
+        return compile_scorer(f"{name} of {n}", lines, self.populations, changed, returning,
+                              "entries" if d is not None else "")
 
     @cached_property
     def _expand(self) -> Callable[[Sequence[float]], tuple[tuple[float, ...], tuple, float]]:
@@ -335,15 +344,15 @@ class EnvConfig:
         return lift
 
     @cached_property
-    def _pairs(self) -> dict[tuple[int, int], tuple[tuple[Action, ...], Callable | None]]:
-        """``(legal actions, expansion)`` of each ``(position, load)`` met so far."""
+    def _pairs(self) -> dict[tuple[int, int], tuple[tuple[Action, ...], Callable | None, dict]]:
+        """``(legal actions, expansion, {action: index})`` of each ``(position, load)`` met so far."""
         return {}
 
-    def _build_pair(self, where: tuple[int, int]) -> tuple[tuple[Action, ...], Callable | None]:
+    def _build_pair(self, where: tuple[int, int]) -> tuple[tuple[Action, ...], Callable | None, dict]:
         """Legal actions at ``where`` in (destination, dispense) order, and for a non-empty set
-        the expansion ``levels -> successors table`` over them: one call of ``_expand``, and of
-        each delivery's lift with its dispense written in, in a dict display in action order
-        where zero-litre and source moves share one ``base`` tuple."""
+        the expansion ``levels -> (scored, next_levels)`` over them: one call of ``_expand`` and
+        of each delivering destination's lift with its dispenses written in, then both displays
+        in action order, where zero-litre and source moves share the consumed levels."""
         position, load = where
         acts: list[Action] = []
         for dest in self.network.outgoing(position):
@@ -356,18 +365,26 @@ class EnvConfig:
                 acts.extend(Action(dest, d) for d in range(0, load + 1, self.delivery_quantum))
         actions, expansion = tuple(acts), None
         if actions:
-            lifts = {a.destination: self._lifts[a.destination] or self._lift(a.destination)
-                     for a in actions if a.dispense}
-            entries = ", ".join(f"a{k}: lift{a.destination}(levels, {a.dispense!r}, consumed, terms)"
-                                if a.dispense else f"a{k}: base" for k, a in enumerate(actions))
-            lines = ["def f(levels):", "    consumed, terms, score = expand(levels)",
-                     "    base = consumed, score", f"    return {{{entries}}}"]
-            namespace = {"expand": self._expand, **{f"lift{d}": f for d, f in lifts.items()},
-                         **{f"a{k}": a for k, a in enumerate(actions)}}
+            lines = ["def f(levels):", "    consumed, terms, score = expand(levels)"]
+            namespace = {"expand": self._expand, "new": _new, "SA": ScoredAction}
+            delivered: dict[int, list[int]] = {}
+            for k, a in enumerate(actions):
+                namespace[f"a{k}"] = a
+                if a.dispense:
+                    delivered.setdefault(a.destination, []).append(k)
+            for d, ks in delivered.items():
+                namespace[f"lift{d}"] = self._lifts[d] or self._lift(d)
+                dispenses = "".join(f"{actions[k].dispense!r}, " for k in ks)
+                lines.append(f"    {''.join(f'(l{k}, s{k}), ' for k in ks)}= "
+                             f"lift{d}(levels, ({dispenses}), consumed, terms)")
+            scored = ", ".join(f"new(SA, (a{k}, {f's{k}' if a.dispense else 'score'}))"
+                               for k, a in enumerate(actions))
+            nexts = "".join(f"l{k}, " if a.dispense else "consumed, " for k, a in enumerate(actions))
+            lines.append(f"    return [{scored}], ({nexts})")
             label = f"<expansion of {self.n_villages} villages at {where}>"
             exec(compile("\n".join(lines), label, "exec"), namespace)
             expansion = namespace["f"]
-        self._pairs[where] = pair = actions, expansion
+        self._pairs[where] = pair = actions, expansion, {a: k for k, a in enumerate(actions)}
         return pair
 
     def validate_state(self, state: WorldState) -> None:
@@ -387,6 +404,8 @@ class EnvConfig:
             raise InvalidStateError(
                 f"load {state.load} must be a quantum multiple within [0, capacity]"
             )
+        if type(state.distributed_total) is not int or state.distributed_total < 0:
+            raise InvalidStateError(f"distributed_total {state.distributed_total!r} must be an int >= 0")
 
 
 def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...]:
@@ -408,8 +427,9 @@ def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...
 
 def successors(
     state: WorldState, config: EnvConfig
-) -> dict[Action, tuple[tuple[float, ...], float]]:
-    """``{action: (next levels, their equity)}`` for each of ``available_actions``, in order.
+) -> tuple[list[ScoredAction], tuple[tuple[float, ...], ...]]:
+    """``(scored, next_levels)``: each of ``available_actions``, in order, as a
+    ``ScoredAction`` with the equity of the state it produces, and its levels.
 
     Move and dispense, then every village consumes, in the expansion that
     ``available_actions`` cached with the legal actions of the state's
@@ -422,24 +442,27 @@ def successors(
     if memo[0] is state:
         return memo[1]
     available_actions(state, config)
-    table = config._pairs[state.position, state.load][1](state.levels)
-    memo[0], memo[1] = state, table
+    _, expansion, index = config._pairs[state.position, state.load]
+    table = expansion(state.levels)
+    memo[0], memo[1], memo[3] = state, table, index
     return table
 
 
 def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[WorldState, float]:
-    entry = successors(state, config).get(action)
-    if entry is None:
+    memo = config._successor_memo
+    if memo[0] is not state:
+        successors(state, config)
+    scored, next_levels = memo[1]
+    k = memo[3].get(action)
+    if k is None:
         raise IllegalActionError(f"action {action} is not available from {state}")
     dest, dispense = action
     # An equal action with float or bool fields would carry them into the state.
     if type(dest) is not int or type(dispense) is not int:
         raise IllegalActionError(f"action {action} must have int destination and dispense")
-    levels, score = entry
     load = config.capacity if dest == SOURCE else state.load - dispense
-    nxt = _new(WorldState, (levels, dest, load, state.distributed_total + dispense))
-    config._successor_memo[2] = nxt
-    return nxt, score
+    memo[2] = nxt = _new(WorldState, (next_levels[k], dest, load, state.distributed_total + dispense))
+    return nxt, scored[k][1]
 
 
 def predict_transition(state: WorldState, action: Action, config: EnvConfig) -> WorldState:

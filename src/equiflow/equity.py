@@ -51,7 +51,8 @@ def term_names(n: int) -> list[str]:
 
 
 def compile_scorer(
-    label: str, head: list[str], weights: Sequence[int], changed: Sequence[int], returning: str = ""
+    label: str, head: list[str], weights: Sequence[int], changed: Sequence[int],
+    returning: str = "", into: str = "",
 ) -> Callable:
     """The function ``f`` that the lines ``head`` begin, finished by code that
     scores the levels ``c{i}`` and returns ``returning`` followed by the score.
@@ -59,38 +60,41 @@ def compile_scorer(
     That code computes the village term ``t{i} = w_i * c{i}`` and the pair
     terms ``p{i}_{j} = w_i*w_j * |c{i} - c{j}|`` of each village in ``changed``
     (``head`` binds the other villages' terms), then sums all terms in the
-    fixed order.  The absolute difference is a conditional subtraction, which
-    IEEE antisymmetry makes bit-equal to ``abs`` (a NaN stays NaN) but for the
-    sign of a zero between ``0.0`` and ``-0.0``, which a sum from ``0.0``
-    drops.  Only reprs of floats made from the weights, which must be ints,
-    go into the source.
+    fixed order.  With ``into``, ``head`` ends inside a ``for`` loop, each pass
+    appends ``returning`` and the score as one tuple to the list ``into``, and
+    ``f`` returns that list.  The absolute difference is a conditional
+    subtraction, which IEEE antisymmetry makes bit-equal to ``abs`` (a NaN
+    stays NaN) but for the sign of a zero between ``0.0`` and ``-0.0``, which
+    a sum from ``0.0`` drops.  Only reprs of floats made from the weights,
+    which must be ints, go into the source.
     """
     n = len(weights)
     names = term_names(n)
+    pad = "        " if into else "    "
 
     def summing(name: str, terms: Sequence[str]) -> list[str]:
         # Left to right from 0.0, as repeated ``+=`` would, in statements of at
         # most _CHAIN terms: one chained expression over the 19,900 pairs of
         # 200 villages would nest the syntax tree that deep.
         return [
-            f"    {name} = {name if k else '0.0'}{''.join(f' + {t}' for t in terms[k:k + _CHAIN])}"
+            f"{pad}{name} = {name if k else '0.0'}{''.join(f' + {t}' for t in terms[k:k + _CHAIN])}"
             for k in range(0, max(len(terms), 1), _CHAIN)
         ]
 
     lines = [
         *head,
-        *(f"    t{i} = {float(weights[i])!r} * c{i}" for i in changed),
-        *(f"    p{i}_{j} = {float(weights[i] * weights[j])!r} * "
+        *(f"{pad}t{i} = {float(weights[i])!r} * c{i}" for i in changed),
+        *(f"{pad}p{i}_{j} = {float(weights[i] * weights[j])!r} * "
           f"(c{i} - c{j} if c{i} > c{j} else c{j} - c{i})"
           for i in range(n) for j in range(i + 1, n) if i in changed or j in changed),
         *summing("total", names[:n]),
+        *summing("spread", names[n:]),
         # Nobody has any water: maximally inequitable by convention.  Treating
         # the drained state as perfectly equal would make it an absorbing
         # one-step optimum that starves every policy.
-        "    if total == 0.0:",
-        f"        return {returning}0.0",
-        *summing("spread", names[n:]),
-        f"    return {returning}1.0 - spread / ({float(sum(weights))!r} * total)",
+        f"{pad}score = 1.0 - spread / ({float(sum(weights))!r} * total) if total != 0.0 else 0.0",
+        *([f"{pad}{into}.append(({returning}score))", f"    return {into}"] if into
+          else [f"    return {returning}score"]),
     ]
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)

@@ -17,8 +17,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .admissible import ScoredAction, admissible_from, best_scored, is_violation, score_actions
-from .env import Action, EnvConfig, Episode, WorldState
+from .admissible import admissible_from, best_scored, is_violation, score_actions
+from .env import Action, EnvConfig, Episode, ScoredAction, WorldState
 from .qlearn import QModel, _argmax_q, levelise
 
 __all__ = [

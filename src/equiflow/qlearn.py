@@ -24,7 +24,7 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator, NamedTuple, Sequence, get_type_hints
 
-from .admissible import admissible_from, is_violation, score_actions
+from .admissible import _alignment, admissible_from, is_violation, score_actions
 from .env import Action, ConfigurationError, EnvConfig, Episode, WorldState
 
 __all__ = [
@@ -324,14 +324,15 @@ def _train(
     n_episodes = hyper.episodes
     key_params = hyper.levels
     max_steps = config.step_limit
+    admissible_only = hyper.explore_admissible_only
 
     for o in range(n_episodes):
         p = hyper.p0 * (1.0 - o / n_episodes)
         state = episode.reset()
         key = levelise(state, key_params)
         scored = score_actions(state, config)
-        adm = admissible_from(scored, eps)
-        actions = [sa[0] for sa in adm]
+        cut = max(map(_alignment, scored)) - eps
+        actions = [a for a, score in scored if score >= cut]
         steps = 0
         raw_sum = 0.0
         violations = 0
@@ -340,14 +341,14 @@ def _train(
             if steps >= max_steps:
                 raise RuntimeError(f"training episode {o} exceeded {max_steps} steps without finishing")
             if p > 0.0 and rng.random() < p:
-                pool = adm if hyper.explore_admissible_only else scored
-                action = pool[rng.randrange(len(pool))][0]
+                k = rng.randrange(len(actions if admissible_only else scored))
+                action = actions[k] if admissible_only else scored[k][0]
                 explored = True
             else:
                 action = _argmax_q(model, key, actions)
                 explored = False
             if step_hook is not None:
-                step_hook(o, state, scored, adm, action, explored)
+                step_hook(o, state, scored, admissible_from(scored, eps), action, explored)
             next_state, reward, done = episode.step(action)
             raw_sum += reward
             if constrained and is_violation(reward, tau):
@@ -355,10 +356,10 @@ def _train(
                 reward = reward - lag.lam
             next_key = levelise(next_state, key_params)
             next_scored = score_actions(next_state, config)
-            next_adm = admissible_from(next_scored, eps)
-            next_actions = [sa[0] for sa in next_adm]
+            cut = max(map(_alignment, next_scored)) - eps
+            next_actions = [a for a, score in next_scored if score >= cut]
             double_q_update(model, key, action, next_key, next_actions, reward, rng)
-            state, key, scored, adm, actions = next_state, next_key, next_scored, next_adm, next_actions
+            state, key, scored, actions = next_state, next_key, next_scored, next_actions
             steps += 1
 
         clamped = False

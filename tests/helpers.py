@@ -29,6 +29,7 @@ from equiflow import (
     is_violation,
     score_actions,
 )
+from equiflow.env import successors
 
 
 def expanded_gini_rank(values, weights) -> float:
@@ -123,6 +124,13 @@ def random_walk_states(
         state = episode.step(acts[rng.randrange(len(acts))]).next_state
         steps += 1
     return states
+
+
+def successor_dict(state: WorldState, config: EnvConfig) -> dict:
+    """``{action: (next levels, equity)}`` in action order, read from the
+    ``(scored, next_levels)`` table that ``env.successors`` returns."""
+    scored, next_levels = successors(state, config)
+    return {sa.action: (levels, sa.successor_alignment) for sa, levels in zip(scored, next_levels)}
 
 
 def random_legal_action(state: WorldState, config: EnvConfig, rng: random.Random) -> Action:

@@ -78,9 +78,10 @@ def test_bench_selftest_passes():
 
 
 def test_step_loop_call_counts(monkeypatch):
-    """The counts ``bench/run.py:check_traced_totals`` checks, and one base
-    expansion per scored state with at most one lift per scored action (so
-    that stepping never simulates a scored successor again)."""
+    """The counts ``bench/run.py:check_traced_totals`` checks, and per scored
+    state one base expansion and one lift call for each destination that a
+    scored action delivers to (so that stepping never simulates a scored
+    successor again)."""
     counts = Counter()
 
     def counting(name, fn):
@@ -88,7 +89,7 @@ def test_step_loop_call_counts(monkeypatch):
             counts[name] += 1
             result = fn(*args, **kwargs)
             if name == "score_actions":
-                counts["scored"] += len(result)
+                counts["delivering"] += len({a.destination for a, _ in result if a.dispense})
             return result
         return wrapper
 
@@ -114,7 +115,7 @@ def test_step_loop_call_counts(monkeypatch):
     assert counts["double_q_update"] == steps
     assert counts["available_actions"] == counts["score_actions"]
     assert counts["expand"] == counts["score_actions"]
-    assert 0 < counts["lift"] <= counts["scored"]
+    assert 0 < counts["lift"] == counts["delivering"]
 
     counts.clear()
     traj, _ = run_episode(LocalPolicy(), env, evaluation_initial(config),
@@ -123,4 +124,4 @@ def test_step_loop_call_counts(monkeypatch):
     assert counts["step"] == counts["score_actions"] == traj.length
     assert counts["available_actions"] == counts["score_actions"]
     assert counts["expand"] == counts["score_actions"]
-    assert 0 < counts["lift"] <= counts["scored"]
+    assert 0 < counts["lift"] == counts["delivering"]

@@ -32,7 +32,7 @@ from equiflow import (
 import equiflow.qlearn
 from equiflow.env import successors
 from helpers import (consume, random_legal_action, random_walk_states, reference_equity,
-                     reference_transition, road_graphs)
+                     reference_transition, road_graphs, successor_dict)
 
 QUANTA = (0, 15000, 30000, 45000, 60000)
 
@@ -86,6 +86,16 @@ def test_unknown_position_raises(env_cfg):
 def test_bad_load_raises(env_cfg):
     with pytest.raises(InvalidStateError):
         available_actions(state((0, 300, 200, 200), load=7000), env_cfg)
+
+
+@pytest.mark.parametrize("delivered", [math.nan, -10**9, 2.5, True],
+                         ids=["nan", "negative", "float", "bool"])
+def test_bad_distributed_total_is_rejected_where_it_enters(env_cfg, delivered):
+    bad = state((0, 300, 200, 200), distributed=delivered)
+    with pytest.raises(InvalidStateError, match="distributed_total"):
+        Episode(env_cfg).reset_to(bad)
+    with pytest.raises(InvalidStateError, match="distributed_total"):
+        run_episode(LocalPolicy(), env_cfg, bad, 0.1, 0.7)
 
 
 def test_stranded_truck_is_a_configuration_error():
@@ -216,7 +226,7 @@ def kernel_states(draw):
 @given(kernel_states())
 def test_successor_table_is_bit_equal_to_reference_equity(world):
     config, s = world
-    table = successors(s, config)
+    table = successor_dict(s, config)
     assert list(table) == list(available_actions(s, config))
     for action, (levels, score) in table.items():
         expected = reference_transition(s, action, config).levels
@@ -241,11 +251,13 @@ def test_base_expansion_and_a_lift_build_for_200_villages_in_under_a_second():
     consumed, terms, score = expand(levels)
     assert consumed == consume_each(levels, config)
     assert score == reference_equity(consumed, config.populations)
-    lifted = list(levels)
-    lifted[117] += 30000 / config.populations[117]
-    expected = consume_each(lifted, config)
-    assert lift(levels, 30000, consumed, terms) == (
-        expected, reference_equity(expected, config.populations))
+    entries = []
+    for dispense in (15000, 30000, 45000):
+        lifted = list(levels)
+        lifted[117] += dispense / config.populations[117]
+        expected = consume_each(lifted, config)
+        entries.append((expected, reference_equity(expected, config.populations)))
+    assert lift(levels, (15000, 30000, 45000), consumed, terms) == entries
 
 
 def test_star_map_of_200_villages_validates_in_under_0_2_s():
@@ -472,7 +484,7 @@ def test_network_requires_matching_villages(env_cfg):
 
 def assert_kernel_matches_reference(config, states):
     for s in states:
-        table = successors(s, config)
+        table = successor_dict(s, config)
         assert list(table) == list(available_actions(s, config))
         for action, (levels, score) in table.items():
             expected = reference_transition(s, action, config)
@@ -545,6 +557,22 @@ def test_step_after_scoring_another_state(env_cfg):
     expected = reference_transition(y, Action(1, 30000), env_cfg)
     assert out.next_state == expected
     assert out.reward == env_cfg.equity_of(expected.levels)
+
+
+def test_scored_list_belongs_to_the_caller(env_cfg):
+    ep = Episode(env_cfg)
+    s = ep.reset_to(state((0, 300, 200, 200)))
+    scored = score_actions(s, env_cfg)
+    original = list(scored)
+    scored.sort(key=lambda sa: sa.successor_alignment)
+    scored.clear()
+    action = original[3].action
+    assert action.dispense  # a lifted entry, not the shared zero-litre one
+    out = ep.step(action)
+    expected = reference_transition(s, action, env_cfg)
+    assert out.next_state == expected
+    assert out.reward == original[3].successor_alignment == env_cfg.equity_of(expected.levels)
+    assert score_actions(s, env_cfg) == original
 
 
 def test_equal_but_distinct_state_is_expanded_afresh(env_cfg):
@@ -676,9 +704,9 @@ def test_every_expansion_is_bit_equal_to_the_reference_and_compiled_once(monkeyp
             if load and config.network.is_dead_end(position):  # a loaded truck at a dead end
                 with pytest.raises(EmptyActionSetError):
                     successors(s, config)
-                assert config._pairs[position, load] == ((), None)
+                assert config._pairs[position, load] == ((), None, {})
                 continue
-            table = successors(s, config)
+            table = successor_dict(s, config)
             assert list(table) == list(available_actions(s, config))
             for action, (levels, score) in table.items():
                 expected = reference_transition(s, action, config).levels
@@ -707,10 +735,21 @@ def test_a_first_step_builds_only_its_own_pair_on_a_963605_action_world():
                        capacity=12_000, delivery_quantum=15)
     with pytest.raises(ConfigurationError, match="gives 1284806 legal actions"):
         replace(config, network=RoadNetwork.from_edges(edges + [(SOURCE, 1)], range(2)))
-    table = successors(state((300.0, 300.0), SOURCE, 12_000), config)
+    s = state((300.0, 300.0), SOURCE, 12_000)
+    lift, dispenses = config._lift(0), []
+    config._lifts[0] = lambda *args: dispenses.append(args[1]) or lift(*args)
+    scored, next_levels = successors(s, config)
     assert list(config._pairs) == [(SOURCE, 12_000)]
-    actions, expansion = config._pairs[SOURCE, 12_000]
-    assert len(actions) == 801 and list(table) == list(actions) and expansion is not None
+    actions, expansion, index = config._pairs[SOURCE, 12_000]
+    assert len(actions) == 801 and expansion is not None
+    assert [sa.action for sa in scored] == list(actions) == list(index)
+    assert len(next_levels) == 801 and list(index.values()) == list(range(801))
+    # One lift call over the 800 deliveries, each entry bit-equal to the reference.
+    assert dispenses == [tuple(range(15, 12_001, 15))]
+    for (action, score), levels in zip(scored, next_levels):
+        expected = reference_transition(s, action, config).levels
+        assert hexes(levels) == hexes(expected)
+        assert score.hex() == reference_equity(expected, config.populations).hex()
     fresh = replace(config)
     assert len(available_actions(state((300.0, 300.0), 1, 600), fresh)) == 41
     assert list(fresh._pairs) == [(1, 600)]

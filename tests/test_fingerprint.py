@@ -1,8 +1,10 @@
 """Golden behaviour fingerprint: SHA-256 of trained models and evaluation CSVs.
 
-A short seeded training of both learners on the shipped default config, the
-fixed evaluation scenario of the local baseline and of both models, and a
-20-start aggregate at eps_eval 0.01 are written through the same public
+A short seeded training of both learners on the shipped default config, and
+of eps-CADQL once more with ``explore_admissible_only`` (exploratory moves
+drawn from the admissible actions only), the fixed evaluation scenario of
+the local baseline and of both models, and a 20-start aggregate at
+eps_eval 0.01 are written through the same public
 calls the CLI uses, as is the ``dump-config`` text of the default config.
 The aggregate's summary rows are written as ``evaluate`` writes one policy's
 row in random mode (``summary.csv``) and as ``compare`` writes all three
@@ -42,6 +44,7 @@ GOLDEN = {
     "ecadql.json": "7aef9f03701e65b49360b58fb4e459f44dcd094df72bd46968eb518ba7f2b50d",
     "eadql.v1.json": "ffa562d4a15bfaa0cdd2cc4b6de41b8cfe0ce73810ccbe47de7a28d97a00939f",
     "ecadql.v1.json": "7becc7d90bee5e9cea52d821183c8218c2f61a47cadb7e9bd6af3d242f454b58",
+    "ecadql-explore-admissible.json": "a88b61d4d08a28d07af59a447747c89c8e36be09f8208e1cc0ac599f717f24fe",
     "series_local.csv": "4548b2df450bea26ac79e98d2da064013f74c02d99012d3e3c968336bb7b6567",
     "series_eadql.csv": "7998e437614edb314959bf1b54ab426dadc51aa98196ce350ca9942dc440ac1a",
     "series_ecadql.csv": "6450feadb87dddd0c661b879bb13630e15db3ba6c8f460d4077ea5d904259b54",
@@ -68,6 +71,9 @@ def digests(tmp_path_factory):
         save_model(model, out / f"{kind}.json")
         write_v1_model(model, out / f"{kind}.v1.json")
         policies.append((ModelPolicy(model), hyper.epsilon))
+    model = train_ecadql(cfg.env, replace(hyper, explore_admissible_only=True), cfg.seed)
+    model.kind = "ecadql"
+    save_model(model, out / "ecadql-explore-admissible.json")
 
     env, initial = evaluation_env(cfg), evaluation_initial(cfg)
     named_series, rows = [], []

@@ -40,6 +40,10 @@ ENTRY_POINTS = {
         InvalidStateError,
         lambda x: ENV.validate_state(START._replace(levels=(0.0, x, 200.0, 200.0))),
     ),
+    "validate_state.distributed_total": (
+        InvalidStateError,
+        lambda x: ENV.validate_state(START._replace(distributed_total=x)),
+    ),
     "admissible_from.epsilon": (
         ValueError,
         lambda x: admissible_from([ScoredAction(Action(0, 0), 0.5)], x),
