@@ -34,6 +34,17 @@ The last state's table stays on the config, keyed by object identity, so
 scoring a state and stepping from it cost one pass together; ``score_actions``
 hands out a copy of its list, which the caller owns.
 
+Greedy rollouts drain villages and merge onto states they have scored before,
+so ``run_episode`` also keeps a rollout cache on the config, keyed by
+``(levels, position, load)``, since the table does not depend on
+``distributed_total``.  The first sighting of a key records its hash, the
+second stores the table, and later ones put it in the identity memo.
+It holds at most ``_ROLLOUT_VALUES`` level values (legal actions times
+villages, summed over its tables) plus one table, and ``_ROLLOUT_HASHES``
+hashes: past a bound, that part is cleared.  Training explores and scores
+almost no state twice, so it does not use the cache, whose hashing would only
+slow it down.
+
 States are validated where they enter: reset states and any state a caller
 builds.  The state the kernel last committed is made from a validated one and
 is let through by identity.  A level is valid up to a cap from which a whole
@@ -52,6 +63,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .equity import compile_scorer, make_equity_scorer, term_names
 
 SOURCE = -1
+# Bounds of the rollout cache: level values held in its stored tables, and hashes of states seen once.
+_ROLLOUT_VALUES = 2**14
+_ROLLOUT_HASHES = 1024
 # ``_new(Cls, fields)`` builds a NamedTuple without the frame of its Python ``__new__``.
 _new = tuple.__new__
 
@@ -300,6 +314,13 @@ class EnvConfig:
         table, the last state ``_successor`` built, and the table's ``{action: index}``."""
         return [object(), ([], ()), object(), {}]
 
+    @cached_property
+    def _rollout_cache(self) -> list:
+        """``[hashes, {key: (table, index)}, values held]`` of ``_rollout_successors``, keyed
+        by ``(levels, position, load)``: hashes of keys seen once, the tables of keys seen
+        again with their ``{action: index}``, and the level values those tables hold."""
+        return [set(), {}, 0]
+
     def _compile_kernel(self, d: int | None = None) -> Callable:
         """Compiled successor code: the base expansion, or the lift of village ``d``.
 
@@ -390,8 +411,9 @@ class EnvConfig:
     def validate_state(self, state: WorldState) -> None:
         if state is self._successor_memo[2]:
             return  # committed by the kernel from a validated state
-        if state.position not in self.network.nodes:
-            raise InvalidStateError(f"position {state.position} is not in the network")
+        # Ints only: 1.0 and True equal 1 as set members and dict keys.
+        if type(state.position) is not int or state.position not in self.network.nodes:
+            raise InvalidStateError(f"position {state.position!r} must be an int node of the network")
         # A tuple, so that a table memoised for this state object stays valid.
         if not isinstance(state.levels, tuple) or len(state.levels) != self.n_villages:
             raise InvalidStateError("levels must be a tuple with one entry per village")
@@ -400,10 +422,9 @@ class EnvConfig:
             if not all(0.0 <= x < math.inf for x in state.levels):
                 raise InvalidStateError("water levels must be finite and non-negative")
             raise LevelOverflowError("water level", max(state.levels), cap)
-        if not 0 <= state.load <= self.capacity or state.load % self.delivery_quantum != 0:
-            raise InvalidStateError(
-                f"load {state.load} must be a quantum multiple within [0, capacity]"
-            )
+        if (type(state.load) is not int or not 0 <= state.load <= self.capacity
+                or state.load % self.delivery_quantum != 0):
+            raise InvalidStateError(f"load {state.load!r} must be an int quantum multiple within [0, capacity]")
         if type(state.distributed_total) is not int or state.distributed_total < 0:
             raise InvalidStateError(f"distributed_total {state.distributed_total!r} must be an int >= 0")
 
@@ -436,7 +457,9 @@ def successors(
     ``(position, load)``.  Only the level vectors are built;
     ``predict_transition`` and ``Episode.step`` make the ``WorldState`` of the
     action they commit.  Asked again for the same state object, it returns the
-    same table, kept on ``config``: do not mutate it.
+    same table, kept on ``config``: do not mutate it.  ``run_episode`` may put
+    a table from its rollout cache there first, built here for an equal
+    ``(levels, position, load)`` and bit-equal to the one this would build.
     """
     memo = config._successor_memo
     if memo[0] is state:
@@ -446,6 +469,43 @@ def successors(
     table = expansion(state.levels)
     memo[0], memo[1], memo[3] = state, table, index
     return table
+
+
+def _rollout_successors(state: WorldState, config: EnvConfig) -> bool:
+    """Record, store or serve the table of a validated ``state`` in the rollout cache.
+
+    Called by ``run_episode`` before each ``score_actions``.  A served state is
+    validated through ``available_actions``, as ``score_actions`` would, and its
+    stored table memoised for it.  Equal keys give bit-equal tables: the kernel
+    reads a level only through the consume step, whose clamp turns -0.0 into 0.0,
+    and as ``level + dispense / population`` with ``dispense > 0``.  Returns True
+    when the table was served from the cache.
+    """
+    memo = config._successor_memo
+    if memo[0] is state:
+        return False
+    cache = config._rollout_cache
+    key = state[:3]
+    stored = cache[1].get(key)
+    if stored is not None:
+        available_actions(state, config)
+        memo[0], memo[1], memo[3] = state, stored[0], stored[1]
+        return True
+    seen = cache[0]
+    digest = hash(key)
+    if digest not in seen:
+        if len(seen) >= _ROLLOUT_HASHES:
+            seen.clear()
+        seen.add(digest)
+        return False
+    table = successors(state, config)
+    values = len(table[0]) * config.n_villages
+    if cache[2] + values > _ROLLOUT_VALUES:
+        cache[1].clear()
+        cache[2] = 0
+    cache[1][key] = table, memo[3]
+    cache[2] += values
+    return False
 
 
 def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[WorldState, float]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .admissible import admissible_from, best_scored, is_violation, score_actions
-from .env import Action, EnvConfig, Episode, ScoredAction, WorldState
+from .env import Action, EnvConfig, Episode, ScoredAction, WorldState, _rollout_successors
 from .qlearn import QModel, _argmax_q, levelise
 
 __all__ = [
@@ -110,7 +110,9 @@ def run_episode(
 
     Back at a state it left since the last delivery, the policy is offered only
     the admissible actions it has not taken from there.  Raises RolloutError when
-    none is left, or past ``config.step_limit`` steps, as in training.
+    none is left, or past ``config.step_limit`` steps, as in training.  A state
+    whose ``(levels, position, load)`` was scored twice before on ``config``, in
+    any rollout, is scored from the bounded rollout cache (see ``env``).
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")
@@ -128,6 +130,7 @@ def run_episode(
     while not done:
         if len(rewards) >= max_steps:
             raise RolloutError(f"policy {policy.name} exceeded {max_steps} steps without finishing")
+        _rollout_successors(state, config)
         admissible = admissible_from(score_actions(state, config), epsilon_eval)
         before = taken.setdefault(state, [])  # hashes the state once
         if before:

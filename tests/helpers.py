@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,6 +30,9 @@ from equiflow import (
     is_violation,
     score_actions,
 )
+import equiflow.env
+import equiflow.evaluate
+import equiflow.qlearn
 from equiflow.env import successors
 
 
@@ -301,3 +305,46 @@ def reference_model_text(model) -> str:
         "qb": groups(model.qb),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def count_step_loop(monkeypatch, env: EnvConfig) -> tuple[Counter, list]:
+    """Wrap the step loop's layers, and the kernel of ``env`` (a config whose kernel is
+    not built yet), to count calls until the test ends.
+
+    Returns ``(counts, scored)``.  ``counts`` has the calls of ``score_actions``,
+    ``available_actions``, ``step``, ``double_q_update``, ``expand`` (the base
+    expansion), ``lift`` and ``rollout_successors``; ``delivering``, the destinations
+    that the actions of each scored state deliver to; ``served``, the tables the
+    rollout cache served, and ``served_delivering``, those destinations counted over
+    the served tables only.  ``scored`` lists the ``(levels, position, load)`` of each
+    scored state, in order.
+    """
+    counts: Counter = Counter()
+    scored: list = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "score_actions":
+                scored.append(args[0][:3])
+                counts["delivering"] += len({a.destination for a, _ in result if a.dispense})
+            elif name == "rollout_successors" and result:
+                counts["served"] += 1
+                table = args[1]._successor_memo[1][0]
+                counts["served_delivering"] += len({a.destination for a, _ in table if a.dispense})
+            return result
+        return wrapper
+
+    for module in (equiflow.qlearn, equiflow.evaluate):
+        monkeypatch.setattr(module, "score_actions", counting("score_actions", module.score_actions))
+    monkeypatch.setattr(equiflow.qlearn, "double_q_update",
+                        counting("double_q_update", equiflow.qlearn.double_q_update))
+    monkeypatch.setattr(equiflow.env, "available_actions",
+                        counting("available_actions", equiflow.env.available_actions))
+    monkeypatch.setattr(equiflow.evaluate, "_rollout_successors",
+                        counting("rollout_successors", equiflow.evaluate._rollout_successors))
+    monkeypatch.setattr(Episode, "step", counting("step", Episode.step))
+    object.__setattr__(env, "_expand", counting("expand", env._expand))
+    env._lifts[:] = [counting("lift", env._lift(d)) for d in range(env.n_villages)]
+    return counts, scored

@@ -11,16 +11,12 @@ import importlib.util
 import json
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-import equiflow.env
-import equiflow.evaluate
-import equiflow.qlearn
 from equiflow import LocalPolicy, run_episode, train_ecadql
 from equiflow.config import (
     config_from_dict,
@@ -29,7 +25,9 @@ from equiflow.config import (
     dump_config,
     evaluation_initial,
 )
-from equiflow.env import Episode, EnvConfig
+from equiflow.env import EnvConfig
+
+from helpers import count_step_loop
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -81,30 +79,11 @@ def test_step_loop_call_counts(monkeypatch):
     """The counts ``bench/run.py:check_traced_totals`` checks, and per scored
     state one base expansion and one lift call for each destination that a
     scored action delivers to (so that stepping never simulates a scored
-    successor again)."""
-    counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            result = fn(*args, **kwargs)
-            if name == "score_actions":
-                counts["delivering"] += len({a.destination for a, _ in result if a.dispense})
-            return result
-        return wrapper
-
-    for module in (equiflow.qlearn, equiflow.evaluate):
-        wrapped = counting("score_actions", module.score_actions)
-        monkeypatch.setattr(module, "score_actions", wrapped)
-    monkeypatch.setattr(equiflow.qlearn, "double_q_update",
-                        counting("double_q_update", equiflow.qlearn.double_q_update))
-    monkeypatch.setattr(equiflow.env, "available_actions",
-                        counting("available_actions", equiflow.env.available_actions))
-    monkeypatch.setattr(Episode, "step", counting("step", Episode.step))
+    successor again).  A rollout expands only the states its cache does not
+    serve, and a start rolled for the third time is served at every step."""
     config = default_config()
     env = replace(config.env)  # a fresh config, so that its kernel can be wrapped
-    object.__setattr__(env, "_expand", counting("expand", env._expand))
-    env._lifts[:] = [counting("lift", env._lift(d)) for d in range(env.n_villages)]
+    counts, _ = count_step_loop(monkeypatch, env)
 
     stats = []
     train_ecadql(env, replace(config.hyper, episodes=20), 7, on_episode=stats.append)
@@ -117,11 +96,13 @@ def test_step_loop_call_counts(monkeypatch):
     assert counts["expand"] == counts["score_actions"]
     assert 0 < counts["lift"] == counts["delivering"]
 
-    counts.clear()
-    traj, _ = run_episode(LocalPolicy(), env, evaluation_initial(config),
-                          config.eval.epsilon_eval, config.hyper.tau)
-    assert traj.length > 0
-    assert counts["step"] == counts["score_actions"] == traj.length
-    assert counts["available_actions"] == counts["score_actions"]
-    assert counts["expand"] == counts["score_actions"]
-    assert 0 < counts["lift"] == counts["delivering"]
+    for rollout in range(3):
+        counts.clear()
+        traj, _ = run_episode(LocalPolicy(), env, evaluation_initial(config),
+                              config.eval.epsilon_eval, config.hyper.tau)
+        assert traj.length > 0
+        assert counts["step"] == counts["score_actions"] == traj.length
+        assert counts["available_actions"] == counts["score_actions"]
+        assert counts["expand"] == counts["score_actions"] - counts["served"]
+        assert counts["lift"] == counts["delivering"] - counts["served_delivering"]
+    assert counts["served"] == traj.length and counts["expand"] == counts["lift"] == 0

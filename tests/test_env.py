@@ -29,8 +29,9 @@ from equiflow import (
     score_actions,
     train_ecadql,
 )
+import equiflow.env
 import equiflow.qlearn
-from equiflow.env import successors
+from equiflow.env import _rollout_successors, successors
 from helpers import (consume, random_legal_action, random_walk_states, reference_equity,
                      reference_transition, road_graphs, successor_dict)
 
@@ -88,13 +89,20 @@ def test_bad_load_raises(env_cfg):
         available_actions(state((0, 300, 200, 200), load=7000), env_cfg)
 
 
-@pytest.mark.parametrize("delivered", [math.nan, -10**9, 2.5, True],
-                         ids=["nan", "negative", "float", "bool"])
-def test_bad_distributed_total_is_rejected_where_it_enters(env_cfg, delivered):
-    bad = state((0, 300, 200, 200), distributed=delivered)
-    with pytest.raises(InvalidStateError, match="distributed_total"):
+@pytest.mark.parametrize(
+    "field,value",
+    [("distributed_total", math.nan), ("distributed_total", -10**9), ("distributed_total", 2.5),
+     ("distributed_total", True), ("position", 1.0), ("position", True), ("load", 60000.0),
+     ("load", True)],
+    ids=["nan", "negative", "float", "bool", "position-float", "position-bool", "load-float",
+         "load-bool"],
+)
+def test_bad_distributed_total_is_rejected_where_it_enters(env_cfg, field, value):
+    # A float or bool equals an int as a set member and dict key, so only the type tells.
+    bad = state((0, 300, 200, 200))._replace(**{field: value})
+    with pytest.raises(InvalidStateError, match=field):
         Episode(env_cfg).reset_to(bad)
-    with pytest.raises(InvalidStateError, match="distributed_total"):
+    with pytest.raises(InvalidStateError, match=field):
         run_episode(LocalPolicy(), env_cfg, bad, 0.1, 0.7)
 
 
@@ -590,6 +598,56 @@ def test_equal_but_distinct_state_is_expanded_afresh(env_cfg):
         expected = reference_transition(s, Action(1, 15000), env_cfg)
         assert predict_transition(s, Action(1, 15000), env_cfg) == expected
         del s
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_states(), st.integers(1, 10**6))
+def test_a_value_equal_twin_is_served_a_bit_equal_table(world, delivered):
+    config, s = world
+    # Equal as a cache key: -0.0 for 0.0, an int for an integral level, more delivered.
+    twin = WorldState(tuple(-0.0 if x == 0.0 else int(x) if x.is_integer() else x for x in s.levels),
+                      s.position, s.load, s.distributed_total + delivered)
+    assert not _rollout_successors(WorldState(*s), config)  # its hash is recorded
+    assert not _rollout_successors(WorldState(*s), config)  # its table is stored
+    assert _rollout_successors(twin, config)
+    assert not _rollout_successors(twin, config)  # memoised already: nothing to serve
+    table = successor_dict(twin, config)
+    assert config._successor_memo[1] is config._rollout_cache[1][s[:3]][0]
+    for action, (levels, score) in table.items():
+        expected = reference_transition(twin, action, config)
+        assert hexes(levels) == hexes(expected.levels)
+        assert score.hex() == reference_equity(expected.levels, config.populations).hex()
+        episode = Episode(config)
+        episode.reset_to(twin)
+        nxt, reward, _ = episode.step(action)
+        assert nxt.distributed_total == twin.distributed_total + action.dispense
+        assert hexes(nxt.levels) == hexes(expected.levels) and reward.hex() == score.hex()
+
+
+def test_rollout_cache_holds_at_most_its_bound_plus_one_table(env_cfg, monkeypatch):
+    monkeypatch.setattr(equiflow.env, "_ROLLOUT_VALUES", 600)
+    monkeypatch.setattr(equiflow.env, "_ROLLOUT_HASHES", 50)
+    config = replace(env_cfg)
+    hashes, tables, _ = config._rollout_cache
+    largest, drops, held = 0, 0, 0
+    for s in random_walk_states(config, 3, 400):
+        largest = max(largest, len(available_actions(s, config)) * config.n_villages)
+        for _ in range(3):
+            _rollout_successors(WorldState(*s), config)
+            drops += config._rollout_cache[2] < held
+            held = config._rollout_cache[2]
+            assert held == sum(len(scored) * config.n_villages for (scored, _), _ in tables.values())
+            assert held <= 600 + largest
+            assert len(hashes) <= 50
+    assert drops > 0 and tables
+
+
+def test_training_never_builds_the_rollout_cache(experiment_cfg):
+    config = replace(experiment_cfg.env)
+    train_ecadql(config, replace(experiment_cfg.hyper, episodes=5), 7)
+    assert "_rollout_cache" not in vars(config)
+    run_episode(LocalPolicy(), config, state((0, 300, 200, 200)), 0.1, 0.7)
+    assert "_rollout_cache" in vars(config)
 
 
 def test_illegal_action_after_memo_hit_raises(env_cfg):
