@@ -83,6 +83,16 @@ def _build_policy(spec: str, config: ExperimentConfig):
     if counts - {config.env.n_villages}:
         raise ConfigurationError(f"{spec}: model states have {sorted(counts)} villages, the config's "
                                  f"world has {config.env.n_villages}; refusing to evaluate")
+    world = config.env
+    for what, keys in (("state", {key[1:] for table in (model.qa, model.qb) for key in table}),
+                       ("action", set().union(*model.qa.values(), *model.qb.values()))):
+        for node, litres in sorted(keys):
+            if (node not in world.network.nodes or not 0 <= litres <= world.capacity
+                    or litres % world.delivery_quantum):
+                raise ConfigurationError(
+                    f"{spec}: a model {what} names node {node} with {litres} l, which the config's world "
+                    f"(capacity {world.capacity}, quantum {world.delivery_quantum}) cannot hold; "
+                    "refusing to evaluate")
     return ModelPolicy(model), model.hyper.epsilon
 
 

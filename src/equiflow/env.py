@@ -14,14 +14,14 @@ water.  Movement rules:
 An episode ends once a configured total amount of water has been delivered.
 The per-step reward is the equity score of the state the action produces.
 
-``successors`` is the one copy of the dynamics.  The config keeps one cache
-keyed by ``(position, load)``: the first time ``available_actions`` is asked
-about a pair, it builds the pair's legal actions, their ``{action: index}``
-map and their compiled expansion together, so this one-off cost scales with
-the pairs a run visits.  An expansion returns the table ``(scored,
-next_levels)``: the ``ScoredAction`` list of the legal actions in order, and
-the level vectors they lead to at the same indices.  It calls a base
-expansion, compiled once per world, which lets every village consume and
+``successors`` is the one copy of the dynamics, and each config keeps one
+cache record for it.  The first time ``available_actions`` is asked about a
+``(position, load)``, it builds the pair's legal actions and their compiled
+expansion together, so this one-off cost scales with the pairs a run visits.
+An expansion returns the table ``(scored, next_levels, index)``: the
+``ScoredAction`` list of the legal actions in order, the level vectors they
+lead to at the same indices, and the pair's ``{action: index}``.  It calls
+a base expansion, compiled once per world, which lets every village consume and
 computes the equity score's village and pair terms and the score of the
 consumed levels, shared by every zero-litre and source move.  A delivery
 changes only its destination: one ``lift(levels, <dispenses>, consumed,
@@ -30,20 +30,16 @@ recomputes its ``n`` terms and sums them with the other terms.
 ``equity.compile_scorer`` writes the terms and their sum for both, as for
 ``EnvConfig.equity_of``, so every score is bit-equal to ``equity_of`` of the
 level vector.  A ``WorldState`` is built for the one action a step commits.
-The last state's table stays on the config, keyed by object identity, so
+The last state's table stays in the record, keyed by object identity, so
 scoring a state and stepping from it cost one pass together; ``score_actions``
 hands out a copy of its list, which the caller owns.
 
 Greedy rollouts drain villages and merge onto states they have scored before,
-so ``run_episode`` also keeps a rollout cache on the config, keyed by
-``(levels, position, load)``, since the table does not depend on
-``distributed_total``.  The first sighting of a key records its hash, the
-second stores the table, and later ones put it in the identity memo.
-It holds at most ``_ROLLOUT_VALUES`` level values (legal actions times
-villages, summed over its tables) plus one table, and ``_ROLLOUT_HASHES``
-hashes: past a bound, that part is cleared.  Training explores and scores
-almost no state twice, so it does not use the cache, whose hashing would only
-slow it down.
+so ``run_episode`` serves a state whose ``(levels, position, load)`` it has
+scored twice before from a bounded rollout cache in the same record.  Training
+explores and scores almost no state twice, so it does not use that cache.
+Tables are shared, so do not mutate one; a served table is bit-equal to a
+fresh one.
 
 States are validated where they enter: reset states and any state a caller
 builds.  The state the kernel last committed is made from a validated one and
@@ -234,6 +230,24 @@ class RandomReset:
             raise ConfigurationError("random reset needs 0 <= low <= high < inf")
 
 
+class _Cache:
+    """What an ``EnvConfig`` caches for the successor kernel, in one record per world.
+
+    ``pairs`` maps each ``(position, load)`` met to its ``(legal actions, expansion)``,
+    and ``kernels`` holds the base expansion (key ``None``) and each village's lift.
+    ``state`` is the last state expanded and ``table`` its table; ``committed`` is the
+    last state ``_successor`` built.  The rollout cache is ``seen``, hashes of keys met
+    once, ``stored``, the tables of keys met again, and ``held``, their level values.
+    """
+
+    __slots__ = ("pairs", "kernels", "state", "table", "committed", "seen", "stored", "held")
+
+    def __init__(self) -> None:
+        self.pairs, self.kernels, self.seen, self.stored, self.held = {}, {}, set(), {}, 0
+        self.state = self.committed = object()
+        self.table = [], (), {}
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     """Immutable environment configuration; shareable between episodes."""
@@ -261,7 +275,7 @@ class EnvConfig:
             raise ConfigurationError("capacity and delivery quantum must be positive")
         if self.capacity % self.delivery_quantum != 0:
             raise ConfigurationError("capacity must be a multiple of the delivery quantum")
-        # Legal actions of every (position, load), counted per edge; ``_pairs`` builds only visited ones.
+        # Legal actions of every (position, load), counted per edge; ``_build_pair`` builds only visited ones.
         loads = self.capacity // self.delivery_quantum + 1
         entries = sum(1 if b == SOURCE else loads if self.network.is_dead_end(b) else
                       loads * (loads + 1) // 2 for _, b in self.network.edges)
@@ -309,20 +323,11 @@ class EnvConfig:
         return sys.float_info.max / (2.0 * weight * weight) - reach
 
     @cached_property
-    def _successor_memo(self) -> list:
-        """``[state, successors(state), committed, index]``: the last expanded state, its
-        table, the last state ``_successor`` built, and the table's ``{action: index}``."""
-        return [object(), ([], ()), object(), {}]
+    def _cache(self) -> _Cache:
+        return _Cache()
 
-    @cached_property
-    def _rollout_cache(self) -> list:
-        """``[hashes, {key: (table, index)}, values held]`` of ``_rollout_successors``, keyed
-        by ``(levels, position, load)``: hashes of keys seen once, the tables of keys seen
-        again with their ``{action: index}``, and the level values those tables hold."""
-        return [set(), {}, 0]
-
-    def _compile_kernel(self, d: int | None = None) -> Callable:
-        """Compiled successor code: the base expansion, or the lift of village ``d``.
+    def _kernel(self, d: int | None = None) -> Callable:
+        """Compiled successor code, built on first use: the base expansion, or the lift of village ``d``.
 
         The base expansion maps ``levels`` to ``(consumed levels, terms, their
         equity)``: every village consumes, and ``compile_scorer`` scores the
@@ -333,6 +338,9 @@ class EnvConfig:
         strictly above ``threshold``, else ``base_rate``, down to 0; the rates
         are written in as float literals.  Each function is O(villages**2) code.
         """
+        kernel = self._cache.kernels.get(d)
+        if kernel is not None:
+            return kernel
         n = self.n_villages
         levels = "".join(f"c{i}, " for i in range(n))
         terms = "".join(f"{t}, " for t in term_names(n))
@@ -348,32 +356,16 @@ class EnvConfig:
             v = self.villages[i]
             rate = f"({v.high_rate!r} if c{i} > {v.threshold!r} else {v.base_rate!r})"
             lines += [f"{pad}c{i} = c{i} - {rate}", f"{pad}c{i} = c{i} if c{i} > 0.0 else 0.0"]
-        return compile_scorer(f"{name} of {n}", lines, self.populations, changed, returning,
-                              "entries" if d is not None else "")
+        self._cache.kernels[d] = kernel = compile_scorer(
+            f"{name} of {n}", lines, self.populations, changed, returning, "entries" if d is not None else "")
+        return kernel
 
-    @cached_property
-    def _expand(self) -> Callable[[Sequence[float]], tuple[tuple[float, ...], tuple, float]]:
-        return self._compile_kernel()
-
-    @cached_property
-    def _lifts(self) -> list:
-        """Each village's lift, compiled by ``_lift`` for the first expansion delivering there."""
-        return [None] * self.n_villages
-
-    def _lift(self, d: int) -> Callable:
-        self._lifts[d] = lift = self._compile_kernel(d)
-        return lift
-
-    @cached_property
-    def _pairs(self) -> dict[tuple[int, int], tuple[tuple[Action, ...], Callable | None, dict]]:
-        """``(legal actions, expansion, {action: index})`` of each ``(position, load)`` met so far."""
-        return {}
-
-    def _build_pair(self, where: tuple[int, int]) -> tuple[tuple[Action, ...], Callable | None, dict]:
+    def _build_pair(self, where: tuple[int, int]) -> tuple[tuple[Action, ...], Callable | None]:
         """Legal actions at ``where`` in (destination, dispense) order, and for a non-empty set
-        the expansion ``levels -> (scored, next_levels)`` over them: one call of ``_expand`` and
-        of each delivering destination's lift with its dispenses written in, then both displays
-        in action order, where zero-litre and source moves share the consumed levels."""
+        the expansion ``levels -> (scored, next_levels, index)`` over them: one call of the base
+        expansion and of each delivering destination's lift with its dispenses written in, then
+        both displays in action order, where zero-litre and source moves share the consumed
+        levels, and the pair's one ``{action: index}``."""
         position, load = where
         acts: list[Action] = []
         for dest in self.network.outgoing(position):
@@ -387,29 +379,30 @@ class EnvConfig:
         actions, expansion = tuple(acts), None
         if actions:
             lines = ["def f(levels):", "    consumed, terms, score = expand(levels)"]
-            namespace = {"expand": self._expand, "new": _new, "SA": ScoredAction}
+            namespace = {"expand": self._kernel(), "new": _new, "SA": ScoredAction,
+                         "index": {a: k for k, a in enumerate(actions)}}
             delivered: dict[int, list[int]] = {}
             for k, a in enumerate(actions):
                 namespace[f"a{k}"] = a
                 if a.dispense:
                     delivered.setdefault(a.destination, []).append(k)
             for d, ks in delivered.items():
-                namespace[f"lift{d}"] = self._lifts[d] or self._lift(d)
+                namespace[f"lift{d}"] = self._kernel(d)
                 dispenses = "".join(f"{actions[k].dispense!r}, " for k in ks)
                 lines.append(f"    {''.join(f'(l{k}, s{k}), ' for k in ks)}= "
                              f"lift{d}(levels, ({dispenses}), consumed, terms)")
             scored = ", ".join(f"new(SA, (a{k}, {f's{k}' if a.dispense else 'score'}))"
                                for k, a in enumerate(actions))
             nexts = "".join(f"l{k}, " if a.dispense else "consumed, " for k, a in enumerate(actions))
-            lines.append(f"    return [{scored}], ({nexts})")
+            lines.append(f"    return [{scored}], ({nexts}), index")
             label = f"<expansion of {self.n_villages} villages at {where}>"
             exec(compile("\n".join(lines), label, "exec"), namespace)
             expansion = namespace["f"]
-        self._pairs[where] = pair = actions, expansion, {a: k for k, a in enumerate(actions)}
+        self._cache.pairs[where] = pair = actions, expansion
         return pair
 
     def validate_state(self, state: WorldState) -> None:
-        if state is self._successor_memo[2]:
+        if state is self._cache.committed:
             return  # committed by the kernel from a validated state
         # Ints only: 1.0 and True equal 1 as set members and dict keys.
         if type(state.position) is not int or state.position not in self.network.nodes:
@@ -438,7 +431,7 @@ def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...
     """
     config.validate_state(state)
     where = state.position, state.load
-    acts = (config._pairs.get(where) or config._build_pair(where))[0]
+    acts = (config._cache.pairs.get(where) or config._build_pair(where))[0]
     if not acts:
         raise EmptyActionSetError(
             f"no legal action at position {state.position} with load {state.load}"
@@ -448,50 +441,49 @@ def available_actions(state: WorldState, config: EnvConfig) -> tuple[Action, ...
 
 def successors(
     state: WorldState, config: EnvConfig
-) -> tuple[list[ScoredAction], tuple[tuple[float, ...], ...]]:
-    """``(scored, next_levels)``: each of ``available_actions``, in order, as a
-    ``ScoredAction`` with the equity of the state it produces, and its levels.
+) -> tuple[list[ScoredAction], tuple[tuple[float, ...], ...], dict[Action, int]]:
+    """The table ``(scored, next_levels, index)`` of ``state``: each of
+    ``available_actions``, in order, as a ``ScoredAction`` with the equity of the
+    state it produces, the levels of that state at the same indices, and each
+    action's index, ``{action: index}``, shared by every state at its ``(position, load)``.
 
-    Move and dispense, then every village consumes, in the expansion that
-    ``available_actions`` cached with the legal actions of the state's
-    ``(position, load)``.  Only the level vectors are built;
-    ``predict_transition`` and ``Episode.step`` make the ``WorldState`` of the
-    action they commit.  Asked again for the same state object, it returns the
-    same table, kept on ``config``: do not mutate it.  ``run_episode`` may put
-    a table from its rollout cache there first, built here for an equal
-    ``(levels, position, load)`` and bit-equal to the one this would build.
+    Only the level vectors are built; ``predict_transition`` and ``Episode.step``
+    make the ``WorldState`` of the action they commit.  Tables are shared: asked
+    again for the same state object this returns the same table, and a rollout
+    may serve one built for an equal ``(levels, position, load)``, bit-equal to a
+    fresh one.  Do not mutate a table.
     """
-    memo = config._successor_memo
-    if memo[0] is state:
-        return memo[1]
+    cache = config._cache
+    if cache.state is state:
+        return cache.table
     available_actions(state, config)
-    _, expansion, index = config._pairs[state.position, state.load]
-    table = expansion(state.levels)
-    memo[0], memo[1], memo[3] = state, table, index
+    table = cache.pairs[state.position, state.load][1](state.levels)
+    cache.state, cache.table = state, table
     return table
 
 
 def _rollout_successors(state: WorldState, config: EnvConfig) -> bool:
     """Record, store or serve the table of a validated ``state`` in the rollout cache.
 
-    Called by ``run_episode`` before each ``score_actions``.  A served state is
-    validated through ``available_actions``, as ``score_actions`` would, and its
-    stored table memoised for it.  Equal keys give bit-equal tables: the kernel
-    reads a level only through the consume step, whose clamp turns -0.0 into 0.0,
-    and as ``level + dispense / population`` with ``dispense > 0``.  Returns True
-    when the table was served from the cache.
+    Called by ``run_episode`` before each ``score_actions``.  The first sighting of
+    ``(levels, position, load)`` records its hash, the second stores its table, and
+    later ones make the stored table the state's.  A served state is validated
+    through ``available_actions``, as ``score_actions`` would.  Equal keys give
+    bit-equal tables: the kernel reads a level only through the consume step, whose
+    clamp turns -0.0 into 0.0, and as ``level + dispense / population`` with
+    ``dispense > 0``.  Past ``_ROLLOUT_HASHES`` hashes or ``_ROLLOUT_VALUES`` level
+    values that part is cleared.  Returns True when the table was served.
     """
-    memo = config._successor_memo
-    if memo[0] is state:
+    cache = config._cache
+    if cache.state is state:
         return False
-    cache = config._rollout_cache
     key = state[:3]
-    stored = cache[1].get(key)
-    if stored is not None:
+    table = cache.stored.get(key)
+    if table is not None:
         available_actions(state, config)
-        memo[0], memo[1], memo[3] = state, stored[0], stored[1]
+        cache.state, cache.table = state, table
         return True
-    seen = cache[0]
+    seen = cache.seen
     digest = hash(key)
     if digest not in seen:
         if len(seen) >= _ROLLOUT_HASHES:
@@ -500,20 +492,18 @@ def _rollout_successors(state: WorldState, config: EnvConfig) -> bool:
         return False
     table = successors(state, config)
     values = len(table[0]) * config.n_villages
-    if cache[2] + values > _ROLLOUT_VALUES:
-        cache[1].clear()
-        cache[2] = 0
-    cache[1][key] = table, memo[3]
-    cache[2] += values
+    if cache.held + values > _ROLLOUT_VALUES:
+        cache.stored.clear()
+        cache.held = 0
+    cache.stored[key] = table
+    cache.held += values
     return False
 
 
 def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[WorldState, float]:
-    memo = config._successor_memo
-    if memo[0] is not state:
-        successors(state, config)
-    scored, next_levels = memo[1]
-    k = memo[3].get(action)
+    cache = config._cache
+    scored, next_levels, index = cache.table if cache.state is state else successors(state, config)
+    k = index.get(action)
     if k is None:
         raise IllegalActionError(f"action {action} is not available from {state}")
     dest, dispense = action
@@ -521,7 +511,7 @@ def _successor(state: WorldState, action: Action, config: EnvConfig) -> tuple[Wo
     if type(dest) is not int or type(dispense) is not int:
         raise IllegalActionError(f"action {action} must have int destination and dispense")
     load = config.capacity if dest == SOURCE else state.load - dispense
-    memo[2] = nxt = _new(WorldState, (next_levels[k], dest, load, state.distributed_total + dispense))
+    cache.committed = nxt = _new(WorldState, (next_levels[k], dest, load, state.distributed_total + dispense))
     return nxt, scored[k][1]
 
 

@@ -40,7 +40,8 @@ __all__ = [
 
 
 class RolloutError(RuntimeError):
-    """A rollout cannot finish: it revisited a state or ran past its step limit."""
+    """A rollout cannot finish: back at a state, it has taken every admissible action from there
+    since the last delivery, or it ran past ``EnvConfig.step_limit`` steps."""
 
 
 @dataclass
@@ -112,7 +113,8 @@ def run_episode(
     the admissible actions it has not taken from there.  Raises RolloutError when
     none is left, or past ``config.step_limit`` steps, as in training.  A state
     whose ``(levels, position, load)`` was scored twice before on ``config``, in
-    any rollout, is scored from the bounded rollout cache (see ``env``).
+    any rollout, is served its table from the config's rollout cache, bit-equal
+    to a fresh one (see ``env``).
     """
     if not 0.0 <= epsilon_eval < math.inf:
         raise ValueError("epsilon_eval must be finite and >= 0")

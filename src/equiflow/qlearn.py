@@ -395,18 +395,32 @@ _FORMAT = "equiflow-qmodel"
 _VERSION = 2
 
 
-def _decode_state_key(text: str) -> LevelisedState:
+def _ints(text: str, sep: str, parts: dict) -> tuple[int, ...]:
+    """The ints of ``text`` joined by ``sep``, decoded once per distinct text through
+    ``parts``.  Text other than ``save_model`` writes raises ValueError: ``int`` alone
+    would read "00", "+1", "1_0" or " 1" as the number of another key."""
+    ints = parts.get(text)
+    if ints is None:
+        ints = tuple(map(int, text.split(sep)))
+        if sep.join(map(str, ints)) != text:
+            raise ValueError(text)
+        parts[text] = ints
+    return ints
+
+
+def _decode_state_key(text: str, parts: dict) -> LevelisedState:
+    bands, _, where = text.partition("|")
     try:
-        bands, position, load = text.split("|")
-        return LevelisedState(tuple(map(int, bands.split(","))), int(position), int(load))
+        position, load = _ints(where, "|", parts)
+        return LevelisedState(_ints(bands, ",", parts), position, load)
     except ValueError:
         raise ValueError(f"malformed state key {text!r}") from None
 
 
 def _decode_action(text: str) -> Action:
     try:
-        dest, dispense = text.split(",")
-        return Action(int(dest), int(dispense))
+        dest, dispense = _ints(text, ",", {})
+        return Action(dest, dispense)
     except ValueError:
         raise ValueError(f"malformed action key {text!r}") from None
 
@@ -444,9 +458,10 @@ def _groups_to_table(groups: object) -> dict:
     if not isinstance(groups, dict):
         raise ValueError(f"expected a JSON object, got {type(groups).__name__}")
     actions: dict[str, Action] = {}  # one Action per distinct key, shared by its entries
+    parts: dict[str, tuple[int, ...]] = {}  # bands and "position|load" texts, decoded once each
     table = {}
     for text, row in groups.items():
-        decoded = table.setdefault(_decode_state_key(text), {})
+        decoded = table.setdefault(_decode_state_key(text, parts), {})
         try:
             if not isinstance(row, dict):
                 raise ValueError(f"expected a JSON object, got {type(row).__name__}")
@@ -467,7 +482,10 @@ def _rows_to_table(rows: list) -> dict:
     """Read the version-1 layout: a list of [state key, action, value] rows."""
     groups: dict = {}
     for key, action, value in rows:
-        groups.setdefault(key, {})[action] = value
+        row = groups.setdefault(key, {})
+        if action in row:
+            raise ValueError(f"state {key!r}: action {action!r} has two rows")
+        row[action] = value
     return _groups_to_table(groups)
 
 

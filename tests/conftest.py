@@ -1,10 +1,22 @@
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis imports this module to report a failing example, and its import of
+# libcst imports ``mypy_extensions.TypedDict``, which warns that it is deprecated.
+# Under ``filterwarnings = error`` that warning would abort the whole run, so the
+# module is imported here first with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst, Hypothesis reports a failing example without a patch
+        pass
 
 from equiflow.config import default_config, default_env_config
 

@@ -132,8 +132,10 @@ def random_walk_states(
 
 def successor_dict(state: WorldState, config: EnvConfig) -> dict:
     """``{action: (next levels, equity)}`` in action order, read from the
-    ``(scored, next_levels)`` table that ``env.successors`` returns."""
-    scored, next_levels = successors(state, config)
+    ``(scored, next_levels, index)`` table that ``env.successors`` returns,
+    whose index must give each action's position."""
+    scored, next_levels, index = successors(state, config)
+    assert index == {sa.action: k for k, sa in enumerate(scored)}
     return {sa.action: (levels, sa.successor_alignment) for sa, levels in zip(scored, next_levels)}
 
 
@@ -331,7 +333,7 @@ def count_step_loop(monkeypatch, env: EnvConfig) -> tuple[Counter, list]:
                 counts["delivering"] += len({a.destination for a, _ in result if a.dispense})
             elif name == "rollout_successors" and result:
                 counts["served"] += 1
-                table = args[1]._successor_memo[1][0]
+                table = args[1]._cache.table[0]
                 counts["served_delivering"] += len({a.destination for a, _ in table if a.dispense})
             return result
         return wrapper
@@ -345,6 +347,8 @@ def count_step_loop(monkeypatch, env: EnvConfig) -> tuple[Counter, list]:
     monkeypatch.setattr(equiflow.evaluate, "_rollout_successors",
                         counting("rollout_successors", equiflow.evaluate._rollout_successors))
     monkeypatch.setattr(Episode, "step", counting("step", Episode.step))
-    object.__setattr__(env, "_expand", counting("expand", env._expand))
-    env._lifts[:] = [counting("lift", env._lift(d)) for d in range(env.n_villages)]
+    kernels = env._cache.kernels
+    kernels[None] = counting("expand", env._kernel())
+    for d in range(env.n_villages):
+        kernels[d] = counting("lift", env._kernel(d))
     return counts, scored

@@ -489,7 +489,22 @@ def more_hidden_bands(data):
     return "model level bands differ from the config's; refusing to evaluate"
 
 
-@pytest.mark.parametrize("mismatch", [fewer_villages, more_hidden_bands])
+def larger_quantum(data):
+    # Loads and dispenses move in 20,000 l: the model's 15,000 l states cannot occur.
+    data["env"]["delivery_quantum"] = 20_000
+    return ("a model state names node 0 with 15000 l, which the config's world "
+            "(capacity 60000, quantum 20000) cannot hold; refusing to evaluate")
+
+
+def smaller_capacity(data):
+    # A 45,000 l truck: the model's full-truck start at the source cannot occur.
+    data["env"]["capacity"] = 45_000
+    return ("a model state names node -1 with 60000 l, which the config's world "
+            "(capacity 45000, quantum 15000) cannot hold; refusing to evaluate")
+
+
+@pytest.mark.parametrize("mismatch", [fewer_villages, more_hidden_bands, larger_quantum,
+                                      smaller_capacity])
 @pytest.mark.parametrize("command", [["evaluate", "--model"], ["compare"]],
                          ids=["evaluate", "compare"])
 def test_a_model_for_another_world_is_a_clean_error(

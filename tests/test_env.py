@@ -140,7 +140,7 @@ def test_stranded_truck_is_a_configuration_error():
 def test_consume_rates(env_cfg, village_id, level, expected):
     levels = [0.0] * env_cfg.n_villages
     levels[village_id] = level
-    consumed, _, _ = env_cfg._expand(tuple(levels))
+    consumed, _, _ = env_cfg._kernel()(tuple(levels))
     assert consumed[village_id] == pytest.approx(expected, abs=1e-12)
 
 
@@ -201,7 +201,7 @@ def villages_and_levels(draw):
 def test_base_expansion_is_bit_equal_to_consume_and_the_scorer(world):
     villages, levels = world
     config = star_config(villages)
-    consumed, terms, score = config._expand(levels)
+    consumed, terms, score = config._kernel()(levels)
     assert type(consumed) is tuple
     assert hexes(consumed) == hexes(consume_each(levels, config))
     assert score.hex() == reference_equity(consumed, config.populations).hex()
@@ -250,10 +250,10 @@ def test_base_expansion_and_a_lift_build_for_200_villages_in_under_a_second():
         for i in range(200)
     ])
     start = time.process_time()
-    expand = config._expand
+    expand = config._kernel()
     assert time.process_time() - start < 1.0
     start = time.process_time()
-    lift = config._lift(117)
+    lift = config._kernel(117)
     assert time.process_time() - start < 1.0
     levels = tuple(rng.uniform(0.0, 700.0) for _ in range(200))
     consumed, terms, score = expand(levels)
@@ -612,7 +612,7 @@ def test_a_value_equal_twin_is_served_a_bit_equal_table(world, delivered):
     assert _rollout_successors(twin, config)
     assert not _rollout_successors(twin, config)  # memoised already: nothing to serve
     table = successor_dict(twin, config)
-    assert config._successor_memo[1] is config._rollout_cache[1][s[:3]][0]
+    assert config._cache.table is config._cache.stored[s[:3]]
     for action, (levels, score) in table.items():
         expected = reference_transition(twin, action, config)
         assert hexes(levels) == hexes(expected.levels)
@@ -628,26 +628,30 @@ def test_rollout_cache_holds_at_most_its_bound_plus_one_table(env_cfg, monkeypat
     monkeypatch.setattr(equiflow.env, "_ROLLOUT_VALUES", 600)
     monkeypatch.setattr(equiflow.env, "_ROLLOUT_HASHES", 50)
     config = replace(env_cfg)
-    hashes, tables, _ = config._rollout_cache
+    cache = config._cache
     largest, drops, held = 0, 0, 0
     for s in random_walk_states(config, 3, 400):
         largest = max(largest, len(available_actions(s, config)) * config.n_villages)
         for _ in range(3):
             _rollout_successors(WorldState(*s), config)
-            drops += config._rollout_cache[2] < held
-            held = config._rollout_cache[2]
-            assert held == sum(len(scored) * config.n_villages for (scored, _), _ in tables.values())
+            drops += cache.held < held
+            held = cache.held
+            assert held == sum(len(scored) * config.n_villages for scored, _, _ in cache.stored.values())
             assert held <= 600 + largest
-            assert len(hashes) <= 50
-    assert drops > 0 and tables
+            assert len(cache.seen) <= 50
+    assert drops > 0 and cache.stored
 
 
 def test_training_never_builds_the_rollout_cache(experiment_cfg):
     config = replace(experiment_cfg.env)
     train_ecadql(config, replace(experiment_cfg.hyper, episodes=5), 7)
-    assert "_rollout_cache" not in vars(config)
+    cache = config._cache
+    assert not cache.seen and not cache.stored and cache.held == 0
+    # A first rollout records the hashes of its states, a second stores their tables.
     run_episode(LocalPolicy(), config, state((0, 300, 200, 200)), 0.1, 0.7)
-    assert "_rollout_cache" in vars(config)
+    assert cache.seen
+    run_episode(LocalPolicy(), config, state((0, 300, 200, 200)), 0.1, 0.7)
+    assert cache.stored and cache.held > 0
 
 
 def test_illegal_action_after_memo_hit_raises(env_cfg):
@@ -741,7 +745,7 @@ def chord_world():
 
 
 def recorded_builds(monkeypatch):
-    """The ``(position, load)`` of every ``_pairs`` entry built from now on, in order."""
+    """The ``(position, load)`` of every pair entry built from now on, in order."""
     built = []
     build_pair = EnvConfig._build_pair
     monkeypatch.setattr(EnvConfig, "_build_pair",
@@ -762,7 +766,7 @@ def test_every_expansion_is_bit_equal_to_the_reference_and_compiled_once(monkeyp
             if load and config.network.is_dead_end(position):  # a loaded truck at a dead end
                 with pytest.raises(EmptyActionSetError):
                     successors(s, config)
-                assert config._pairs[position, load] == ((), None, {})
+                assert config._cache.pairs[position, load] == ((), None)
                 continue
             table = successor_dict(s, config)
             assert list(table) == list(available_actions(s, config))
@@ -794,11 +798,11 @@ def test_a_first_step_builds_only_its_own_pair_on_a_963605_action_world():
     with pytest.raises(ConfigurationError, match="gives 1284806 legal actions"):
         replace(config, network=RoadNetwork.from_edges(edges + [(SOURCE, 1)], range(2)))
     s = state((300.0, 300.0), SOURCE, 12_000)
-    lift, dispenses = config._lift(0), []
-    config._lifts[0] = lambda *args: dispenses.append(args[1]) or lift(*args)
-    scored, next_levels = successors(s, config)
-    assert list(config._pairs) == [(SOURCE, 12_000)]
-    actions, expansion, index = config._pairs[SOURCE, 12_000]
+    lift, dispenses = config._kernel(0), []
+    config._cache.kernels[0] = lambda *args: dispenses.append(args[1]) or lift(*args)
+    scored, next_levels, index = successors(s, config)
+    assert list(config._cache.pairs) == [(SOURCE, 12_000)]
+    actions, expansion = config._cache.pairs[SOURCE, 12_000]
     assert len(actions) == 801 and expansion is not None
     assert [sa.action for sa in scored] == list(actions) == list(index)
     assert len(next_levels) == 801 and list(index.values()) == list(range(801))
@@ -810,4 +814,4 @@ def test_a_first_step_builds_only_its_own_pair_on_a_963605_action_world():
         assert score.hex() == reference_equity(expected, config.populations).hex()
     fresh = replace(config)
     assert len(available_actions(state((300.0, 300.0), 1, 600), fresh)) == 41
-    assert list(fresh._pairs) == [(1, 600)]
+    assert list(fresh._cache.pairs) == [(1, 600)]

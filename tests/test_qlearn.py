@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from equiflow import (
     Action,
+    ConfigurationError,
     Hyperparams,
     LagrangeState,
     LevelisedState,
@@ -598,6 +599,33 @@ def test_double_q_update_fast_path_equals_the_loop(tables, key, next_key, action
     assert delta.hex() == expected.hex()
     assert fast.avg_reward.hex() == slow.avg_reward.hex()
     assert (hexed(fast.qa), hexed(fast.qb)) == (hexed(slow.qa), hexed(slow.qb))
+
+
+def non_canonical_files(path):
+    """Model files whose keys are not the text ``save_model`` writes, each with the
+    key that must be named.  The decoded keys would merge with a canonical row or
+    read another band or number."""
+    model = QModel(Hyperparams())
+    model.qa = {LevelisedState((0, 2, 1, 1), -1, 60000): {Action(1, 0): 0.5, Action(1, 15000): 0.25}}
+    save_model(model, path)
+    text = path.read_text()
+    yield text.replace('"qb":{}', '"qb":{"00,2,1,1|-1|60000":{"1,0":0.125}}'), "'00,2,1,1|-1|60000'"
+    yield text.replace('"qa":{"0,2,1,1', '"qa":{"0,2,1,1|-1|60000":{},"1_0,2,1,1'), "'1_0,2,1,1|-1|60000'"
+    yield text.replace('"1,15000"', '"1,+15000"'), "'1,+15000'"
+    yield text.replace('"1,15000"', '"1, 15000"'), "'1, 15000'"
+    yield text.replace('|-1|', '|-01|'), "'0,2,1,1|-01|60000'"
+    write_v1_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["qa"].append(list(doc["qa"][0]))  # a second row for one (state, action)
+    yield json.dumps(doc), "'0,2,1,1|-1|60000': action '1,0' has two rows"
+
+
+def test_load_refuses_non_canonical_keys_and_duplicate_rows(tmp_path):
+    path = tmp_path / "model.json"
+    for text, named in list(non_canonical_files(path)):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            load_model(path)
 
 
 def test_load_rejects_foreign_files(tmp_path):
